@@ -1,14 +1,6 @@
 """Discrete-event Spark simulator: RDDs, DAGs, executors, cost model."""
 
-from .costmodel import (
-    Calibration,
-    StageCost,
-    StageCostBatch,
-    TaskCost,
-    compute_stage_cost,
-    compute_stage_cost_batch,
-    with_overrides,
-)
+from .costmodel import Calibration, with_overrides
 from .dag import (
     CacheRegistry,
     CompiledJob,
@@ -32,11 +24,11 @@ from .faults import (
     straggler,
     worker_crash,
 )
-from .memory import CachePlan, SpillOutcome, gc_fraction, plan_cache, spill_outcome
+from .memory import CachePlan, gc_fraction, plan_cache
 from .metrics import ExecutionResult, StageMetrics, TaskMetrics
 from .rdd import RDD, Job
-from .scheduler import StageSchedule, schedule_stage, schedule_stage_batch
-from .shuffle import CODECS, SERIALIZERS, shuffle_read, shuffle_write
+from .scheduler import StageSchedule, schedule_stage
+from .shuffle import CODECS, SERIALIZERS
 from .simulator import SparkSimulator
 
 __all__ = [
@@ -61,24 +53,14 @@ __all__ = [
     "env_spike",
     "worker_crash",
     "CachePlan",
-    "SpillOutcome",
     "plan_cache",
-    "spill_outcome",
     "gc_fraction",
     "CODECS",
     "SERIALIZERS",
-    "shuffle_read",
-    "shuffle_write",
     "Calibration",
-    "TaskCost",
-    "StageCost",
-    "StageCostBatch",
-    "compute_stage_cost",
-    "compute_stage_cost_batch",
     "with_overrides",
     "StageSchedule",
     "schedule_stage",
-    "schedule_stage_batch",
     "event_lines",
     "write_event_log",
     "read_event_log",

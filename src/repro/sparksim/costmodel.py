@@ -1,9 +1,15 @@
-"""Analytic per-task cost model.
+"""Analytic cost model: the joint (stages x candidates) program.
 
-Given one stage, a configuration, a cluster and the cache state, compute
-the deterministic cost components of a single task (CPU, disk, network,
-GC) plus stage-level driver overheads.  The scheduler then turns these
-into a makespan by simulating slot occupancy with noise and stragglers.
+Given a compiled workload and a batch of candidate configurations on one
+cluster, compute the deterministic cost components of a representative
+task of every stage (CPU, disk, network, GC, spill) plus stage-level
+driver overheads, for every candidate, in one fused numpy sweep.  The
+scheduler then turns these into a makespan by simulating slot occupancy
+with noise and stragglers.
+
+The per-stage arithmetic reads most plainly in its scalar form, which
+the test suite keeps as the oracle this program is bit-identical to
+(``tests/sparksim/reference.py``).
 
 Every empirical constant lives in :class:`Calibration` so ablation
 benches can perturb them.
@@ -20,20 +26,15 @@ from ..cloud.cluster import Cluster
 from ..cloud.interference import Environment
 from ..config.constraints import ResourceGrant
 from ..config.encoding import ConfigColumns
-from .dag import CompiledWorkload, StageProfile
+from .dag import CompiledWorkload
 from .executor import RESERVED_MB, ExecutorModel
-from .memory import CachePlan, gc_fraction, plan_cache, spill_outcome
-from .shuffle import CODECS, codec_of, serializer_of, shuffle_read, shuffle_write
+from .memory import gc_fraction, plan_cache
+from .shuffle import CODECS, serializer_of
 
 __all__ = [
     "Calibration",
-    "TaskCost",
-    "StageCost",
-    "compute_stage_cost",
     "BatchInputs",
-    "StageCostBatch",
     "build_batch_inputs",
-    "compute_stage_cost_batch",
     "PlanArrays",
     "PlanCostBatch",
     "build_plan_arrays",
@@ -67,233 +68,21 @@ class Calibration:
     min_parallelism_efficiency: float = 0.05
 
 
-@dataclass(frozen=True)
-class TaskCost:
-    """Deterministic cost components of one task of a stage."""
-
-    cpu_s: float
-    disk_s: float
-    net_s: float
-    gc_s: float
-    launch_s: float
-    idle_s: float            # locality-wait scheduling idle
-    spilled_mb: float
-    oom: bool
-
-    @property
-    def total_s(self) -> float:
-        return self.cpu_s + self.disk_s + self.net_s + self.gc_s + self.launch_s + self.idle_s
-
-
-@dataclass(frozen=True)
-class StageCost:
-    """Per-stage cost: one representative task plus driver-side overheads."""
-
-    stage: StageProfile
-    num_tasks: int
-    task: TaskCost
-    driver_s: float
-    # observable byte counters for metrics
-    input_mb: float
-    cached_read_mb: float
-    shuffle_read_mb: float
-    shuffle_write_mb: float
-    spill_mb_total: float
-
-
-def resolve_num_tasks(stage: StageProfile, config: Mapping) -> int:
-    if stage.num_tasks_hint is not None:
-        return max(1, int(stage.num_tasks_hint))
-    return max(1, int(config["spark.default.parallelism"]))
-
-
-def compute_stage_cost(
-    stage: StageProfile,
-    config: Mapping,
-    cluster: Cluster,
-    grant: ResourceGrant,
-    executor: ExecutorModel,
-    cache: CachePlan,
-    env: Environment,
-    num_map_tasks: int = 0,
-    calib: Calibration | None = None,
-) -> StageCost:
-    """Compute the cost of ``stage`` under ``config`` on ``cluster``.
-
-    ``cache`` describes the current cache fit (for stages that read cached
-    data) and ``num_map_tasks`` the upstream map-output count (for stages
-    that read a shuffle).
-    """
-    if calib is None:
-        calib = Calibration()
-    if grant.executors < 1:
-        raise ValueError("cannot cost a stage with zero granted executors")
-
-    n_tasks = resolve_num_tasks(stage, config)
-    ser = serializer_of(config)
-    core_speed = cluster.instance.cpu_speed
-
-    # --- per-task data volumes ---------------------------------------------
-    input_pt = stage.input_mb / n_tasks
-    cached_pt = stage.cached_read_mb / n_tasks
-    shuffle_read_pt = stage.shuffle_read_mb / n_tasks
-    shuffle_write_pt = stage.shuffle_write_mb / n_tasks
-    output_pt = (stage.output_mb / n_tasks) if stage.writes_output else 0.0
-
-    # --- resource sharing on a node ------------------------------------------
-    execs_per_node = max(1.0, grant.executors / cluster.count)
-    tasks_per_node = execs_per_node * executor.concurrent_tasks
-    disk_share = cluster.node_disk_mb_s / tasks_per_node / env.disk_factor
-    net_share = cluster.node_network_mb_s / tasks_per_node / env.network_factor
-    remote_nodes_fraction = (
-        (cluster.count - 1) / cluster.count if cluster.count > 1 else 0.0
-    )
-
-    cpu = 0.0
-    disk = 0.0
-    net = 0.0
-
-    # --- operator computation -------------------------------------------------
-    cpu += stage.cpu_s / n_tasks / core_speed
-
-    # --- external input (HDFS-style: mostly node-local) ------------------------
-    if input_pt > 0:
-        locality_wait = float(config.get("spark.locality.wait", 3.0))
-        remote_frac = 0.12 * pow(2.718281828, -locality_wait / 1.5)
-        disk += input_pt * (1.0 - remote_frac) / disk_share
-        net += input_pt * remote_frac / net_share
-
-    # --- cached input -----------------------------------------------------------
-    if cached_pt > 0:
-        hit = cache.hit_fraction
-        cpu += cached_pt * hit * cache.read_cpu_s_per_mb / core_speed
-        cpu += cached_pt * hit / calib.cached_read_mb_s  # memory scan
-        miss = cached_pt * (1.0 - hit)
-        if miss > 0:
-            if cache.miss_to_disk:
-                disk += miss / disk_share
-                cpu += miss * ser.deserialize_s_per_mb / core_speed
-            else:
-                # Recompute the partition: re-run its producing chain
-                # (CPU) and re-read its inputs — shuffle re-fetches go
-                # over the network, source re-scans over the disk.
-                reread = miss * cache.recompute_io_mb_per_mb
-                disk += 0.4 * reread / disk_share
-                net += 0.6 * reread / net_share
-                cpu += miss * (
-                    cache.recompute_cpu_s_per_mb + calib.recompute_cpu_s_per_mb
-                ) / core_speed
-
-    # --- shuffle read --------------------------------------------------------------
-    if shuffle_read_pt > 0:
-        cost, fetch_eff = shuffle_read(
-            shuffle_read_pt, config,
-            num_map_tasks=max(1, num_map_tasks),
-            remote_fraction=max(0.0, min(1.0, remote_nodes_fraction + 0.05)),
-        )
-        cpu += cost.cpu_s / core_speed
-        disk += cost.disk_mb / disk_share
-        net += cost.net_mb / net_share / fetch_eff
-
-    # --- shuffle write -----------------------------------------------------------------
-    if shuffle_write_pt > 0:
-        reduce_tasks = int(config["spark.default.parallelism"])
-        cost = shuffle_write(shuffle_write_pt, config, num_reduce_tasks=reduce_tasks)
-        cpu += cost.cpu_s / core_speed
-        disk += cost.disk_mb / disk_share
-
-    # --- final output -------------------------------------------------------------------
-    if output_pt > 0:
-        cpu += output_pt * ser.serialize_s_per_mb / core_speed
-        disk += output_pt / disk_share
-
-    # --- memory: spill or die -------------------------------------------------------------
-    working_set = (
-        shuffle_read_pt * ser.expansion
-        + shuffle_write_pt * calib.shuffle_write_buffer_fraction * ser.expansion
-        + (input_pt + cached_pt) * calib.map_working_set_fraction * ser.expansion
-    )
-    storage_per_exec = cache.stored_mb / grant.executors if grant.executors else 0.0
-    available = executor.execution_per_task_mb(storage_per_exec)
-    spill = spill_outcome(working_set, available, stage.unspillable_fraction)
-    spilled_logical = spill.spilled_mb / ser.expansion
-    if spilled_logical > 0:
-        spill_bytes = spilled_logical
-        spill_cpu = spilled_logical * (ser.serialize_s_per_mb + ser.deserialize_s_per_mb)
-        if config.get("spark.shuffle.spill.compress", True):
-            codec = codec_of(config)
-            spill_bytes *= codec.ratio
-            spill_cpu += spilled_logical * (
-                codec.compress_s_per_mb + codec.decompress_s_per_mb
-            )
-        spill_cpu += spill.merge_passes * spilled_logical * calib.spill_merge_cpu_s_per_mb
-        cpu += spill_cpu / core_speed
-        disk += 2.0 * spill_bytes / disk_share  # write + read back
-
-    # --- GC pressure ----------------------------------------------------------------------
-    resident = min(working_set, available) * executor.concurrent_tasks
-    occupancy = (storage_per_exec + resident + RESERVED_MB) / max(
-        executor.heap_mb, 1.0
-    )
-    gc = gc_fraction(occupancy) * cpu
-
-    # Interference slows computation too (shared cores / hyperthread pairs).
-    cpu *= env.cpu_factor
-    gc *= env.cpu_factor
-
-    # --- scheduling idle from locality wait -------------------------------------------------
-    locality_wait = float(config.get("spark.locality.wait", 3.0))
-    effective_slots = grant.executors * executor.concurrent_tasks
-    waves = max(1.0, n_tasks / max(1, effective_slots))
-    idle = 0.0
-    if (input_pt > 0 or cached_pt > 0) and locality_wait > 0:
-        # Waiting for local slots delays a fraction of waves.
-        idle = min(locality_wait, 0.02 * locality_wait * waves) / waves
-
-    task = TaskCost(
-        cpu_s=cpu,
-        disk_s=disk,
-        net_s=net,
-        gc_s=gc,
-        launch_s=calib.task_launch_s,
-        idle_s=idle,
-        spilled_mb=spilled_logical,
-        oom=spill.oom,
-    )
-
-    driver = (
-        calib.driver_stage_overhead_s
-        + calib.driver_dispatch_s_per_task * n_tasks
-        + stage.collect_mb * calib.collect_s_per_mb
-    )
-    return StageCost(
-        stage=stage,
-        num_tasks=n_tasks,
-        task=task,
-        driver_s=driver,
-        input_mb=stage.input_mb,
-        cached_read_mb=stage.cached_read_mb,
-        shuffle_read_mb=stage.shuffle_read_mb,
-        shuffle_write_mb=stage.shuffle_write_mb,
-        spill_mb_total=spilled_logical * n_tasks,
-    )
-
-
 def with_overrides(calib: Calibration, **kwargs) -> Calibration:
     """Convenience for ablations: return a modified calibration."""
     return replace(calib, **kwargs)
 
 
-# --- struct-of-arrays batch cost model ----------------------------------------
+# --- candidate columns ---------------------------------------------------------
 #
-# One stage, N candidate configurations, single numpy passes.  The
-# contract is bit-identity with :func:`compute_stage_cost`: every
-# elementwise operation replicates the scalar code's operations in the
-# same order and association, per-candidate branches become exact-zero
-# masked contributions (adding 0.0 to a non-negative accumulator is a
-# bitwise no-op), and every transcendental term (``pow``/``exp``, where
-# numpy's vector kernels differ from Python's scalar libm calls in the
-# last ulp) is computed elementwise with Python arithmetic.
+# The contract of everything below is bit-identity with the scalar
+# reference model: every elementwise operation replicates the scalar
+# code's operations in the same order and association, per-candidate
+# branches become exact-zero masked contributions (adding 0.0 to a
+# non-negative accumulator is a bitwise no-op), and every transcendental
+# term (``pow``/``exp``, where numpy's vector kernels differ from
+# Python's scalar libm calls in the last ulp) is computed elementwise
+# with Python arithmetic.
 
 
 @dataclass
@@ -302,8 +91,8 @@ class BatchInputs:
 
     Built once per batch by :func:`build_batch_inputs` from the raw
     configuration columns (:class:`~repro.config.encoding.ConfigColumns`),
-    the resource grants and the executor models — everything the scalar
-    cost model derives per call that does not depend on the stage.
+    the resource grants and the executor models — everything the cost
+    program needs from a candidate that does not depend on the stage.
     """
 
     n: int
@@ -323,9 +112,6 @@ class BatchInputs:
     bypass_threshold: np.ndarray
     fetch_efficiency: np.ndarray
     per_block_s: np.ndarray
-    speculation: np.ndarray
-    spec_multiplier: np.ndarray
-    spec_quantile: np.ndarray
     # grant / executor columns
     executors: np.ndarray
     requested: np.ndarray
@@ -347,23 +133,6 @@ class BatchInputs:
     cache_capacity: np.ndarray
 
 
-@dataclass
-class StageCostBatch:
-    """Per-candidate cost arrays for one stage (columns of ``TaskCost``)."""
-
-    num_tasks: np.ndarray
-    cpu_s: np.ndarray
-    disk_s: np.ndarray
-    net_s: np.ndarray
-    gc_s: np.ndarray
-    idle_s: np.ndarray
-    total_s: np.ndarray
-    driver_s: np.ndarray
-    spilled_mb: np.ndarray       # per-task logical spill
-    spill_mb_total: np.ndarray
-    oom: np.ndarray
-
-
 def build_batch_inputs(configs: Sequence[Mapping[str, Any]], cluster: Cluster,
                        grants: Sequence[ResourceGrant],
                        executors: Sequence[ExecutorModel],
@@ -371,8 +140,8 @@ def build_batch_inputs(configs: Sequence[Mapping[str, Any]], cluster: Cluster,
     """Extract the config-only columns for one batch of candidates.
 
     ``grants``/``executors``/``envs`` align with ``configs``; every grant
-    must have at least one executor (rejected candidates never reach the
-    batch path).
+    must have at least one executor (rejected candidates are answered
+    before costing).
     """
     cols = ConfigColumns(configs)
     n = cols.n
@@ -442,9 +211,6 @@ def build_batch_inputs(configs: Sequence[Mapping[str, Any]], cluster: Cluster,
         bypass_threshold=cols.ints("spark.shuffle.sort.bypassMergeThreshold", 200),
         fetch_efficiency=cols.mapped(_fetch_eff),
         per_block_s=cols.mapped(_per_block),
-        speculation=cols.bools("spark.speculation", False),
-        spec_multiplier=cols.floats("spark.speculation.multiplier", 1.5),
-        spec_quantile=cols.floats("spark.speculation.quantile", 0.75),
         executors=executors_arr,
         requested=np.array([g.requested_executors for g in grants], dtype=np.int64),
         concurrent=concurrent,
@@ -464,199 +230,13 @@ def build_batch_inputs(configs: Sequence[Mapping[str, Any]], cluster: Cluster,
     )
 
 
-def compute_stage_cost_batch(
-    stage: StageProfile,
-    b: BatchInputs,
-    cached_mb: float,
-    recompute_cpu_s_per_mb: float,
-    recompute_io_mb_per_mb: float,
-    num_map_tasks: np.ndarray,
-    calib: Calibration | None = None,
-) -> StageCostBatch:
-    """Vectorized :func:`compute_stage_cost` over one batch of candidates.
-
-    ``cached_mb`` and the recompute means are the compiled plan's
-    registry snapshot for this stage; ``num_map_tasks`` is the
-    per-candidate upstream map-output count.  Stage-level data volumes
-    are scalars, so the scalar model's outer branches (has input / has
-    cached reads / has shuffle) are uniform across the batch; the
-    per-candidate branches inside them become masked contributions.
-    """
-    if calib is None:
-        calib = Calibration()
-    n = b.n
-    core_speed = b.core_speed
-
-    if stage.num_tasks_hint is not None:
-        n_tasks = np.full(n, max(1, int(stage.num_tasks_hint)), dtype=np.int64)
-    else:
-        n_tasks = np.maximum(1, b.parallelism)
-
-    # --- per-task data volumes ---------------------------------------------
-    input_pt = stage.input_mb / n_tasks
-    cached_pt = stage.cached_read_mb / n_tasks
-    shuffle_read_pt = stage.shuffle_read_mb / n_tasks
-    shuffle_write_pt = stage.shuffle_write_mb / n_tasks
-    output_pt = (stage.output_mb / n_tasks) if stage.writes_output else np.zeros(n)
-
-    # --- per-stage cache fit -----------------------------------------------
-    needed = cached_mb * b.cache_footprint
-    stored = np.minimum(needed, b.cache_capacity)
-    hit = np.divide(stored, needed, out=np.ones(n), where=needed != 0)
-
-    cpu = np.zeros(n)
-    disk = np.zeros(n)
-    net = np.zeros(n)
-
-    # --- operator computation -----------------------------------------------
-    cpu = cpu + stage.cpu_s / n_tasks / core_speed
-
-    # --- external input (HDFS-style: mostly node-local) ----------------------
-    if stage.input_mb > 0:
-        disk = disk + input_pt * (1.0 - b.remote_frac) / b.disk_share
-        net = net + input_pt * b.remote_frac / b.net_share
-
-    # --- cached input ---------------------------------------------------------
-    if stage.cached_read_mb > 0:
-        cpu = cpu + cached_pt * hit * b.cache_read_cpu / core_speed
-        cpu = cpu + cached_pt * hit / calib.cached_read_mb_s  # memory scan
-        miss = cached_pt * (1.0 - hit)
-        missed = miss > 0
-        to_disk = missed & b.cache_miss_to_disk
-        disk = disk + np.where(to_disk, miss / b.disk_share, 0.0)
-        cpu = cpu + np.where(to_disk, miss * b.ser_deserialize / core_speed, 0.0)
-        # Recompute the partition: re-run its producing chain (CPU) and
-        # re-read its inputs — shuffle re-fetches go over the network,
-        # source re-scans over the disk.
-        recompute = missed & ~b.cache_miss_to_disk
-        reread = miss * recompute_io_mb_per_mb
-        disk = disk + np.where(recompute, 0.4 * reread / b.disk_share, 0.0)
-        net = net + np.where(recompute, 0.6 * reread / b.net_share, 0.0)
-        cpu = cpu + np.where(
-            recompute,
-            miss * (recompute_cpu_s_per_mb + calib.recompute_cpu_s_per_mb) / core_speed,
-            0.0,
-        )
-
-    # --- shuffle read ----------------------------------------------------------
-    if stage.shuffle_read_mb > 0:
-        rf = max(0.0, min(1.0, b.remote_nodes_fraction + 0.05))
-        sr_cpu = shuffle_read_pt * b.ser_deserialize
-        sr_cpu = np.where(
-            b.shuffle_compress,
-            sr_cpu + shuffle_read_pt * b.codec_decompress, sr_cpu,
-        )
-        wire = np.where(
-            b.shuffle_compress, shuffle_read_pt * b.codec_ratio, shuffle_read_pt,
-        )
-        sr_cpu = sr_cpu + np.maximum(1, num_map_tasks) * b.per_block_s
-        cpu = cpu + sr_cpu / core_speed
-        disk = disk + wire * (1.0 - rf) / b.disk_share
-        net = net + wire * rf / b.net_share / b.fetch_efficiency
-
-    # --- shuffle write ----------------------------------------------------------
-    if stage.shuffle_write_mb > 0:
-        sw_cpu = shuffle_write_pt * b.ser_serialize
-        sw_cpu = np.where(
-            b.shuffle_compress,
-            sw_cpu + shuffle_write_pt * b.codec_compress, sw_cpu,
-        )
-        sw_disk = np.where(
-            b.shuffle_compress, shuffle_write_pt * b.codec_ratio, shuffle_write_pt,
-        )
-        bypass = b.parallelism <= b.bypass_threshold
-        flush = np.where(bypass, b.flush_base * 1.05, b.flush_base)
-        sw_cpu = np.where(bypass, sw_cpu, sw_cpu + shuffle_write_pt * 0.0030)
-        cpu = cpu + sw_cpu / core_speed
-        disk = disk + sw_disk * flush / b.disk_share
-
-    # --- final output ------------------------------------------------------------
-    if stage.writes_output and stage.output_mb > 0:
-        cpu = cpu + output_pt * b.ser_serialize / core_speed
-        disk = disk + output_pt / b.disk_share
-
-    # --- memory: spill or die ------------------------------------------------------
-    working_set = (
-        shuffle_read_pt * b.ser_expansion
-        + shuffle_write_pt * calib.shuffle_write_buffer_fraction * b.ser_expansion
-        + (input_pt + cached_pt) * calib.map_working_set_fraction * b.ser_expansion
-    )
-    storage_per_exec = stored / b.executors
-    available = (
-        np.maximum(0.0, b.unified_mb - np.minimum(storage_per_exec, b.immune_mb))
-        + b.offheap_mb
-    ) / b.concurrent
-    floor = 32.0 + working_set * stage.unspillable_fraction
-    oom = available < floor
-    spills = ~oom & (working_set > available)
-    spilled_raw = np.where(spills, working_set - available, 0.0)
-    merge_passes = np.where(spills, working_set // np.maximum(available, 1.0), 0.0)
-    spilled_logical = spilled_raw / b.ser_expansion
-    spill_cpu = spilled_logical * (b.ser_serialize + b.ser_deserialize)
-    spill_cpu = np.where(
-        b.spill_compress,
-        spill_cpu + spilled_logical * (b.codec_compress + b.codec_decompress),
-        spill_cpu,
-    )
-    spill_bytes = np.where(
-        b.spill_compress, spilled_logical * b.codec_ratio, spilled_logical,
-    )
-    spill_cpu = spill_cpu + merge_passes * spilled_logical * calib.spill_merge_cpu_s_per_mb
-    cpu = cpu + np.where(spills, spill_cpu / core_speed, 0.0)
-    disk = disk + np.where(spills, 2.0 * spill_bytes / b.disk_share, 0.0)
-
-    # --- GC pressure ----------------------------------------------------------------
-    resident = np.minimum(working_set, available) * b.concurrent
-    occupancy = (storage_per_exec + resident + RESERVED_MB) / np.maximum(b.heap_mb, 1.0)
-    # gc_fraction raises occupancy to the 4th power; numpy's pow kernel
-    # differs from Python's in the last ulp, so evaluate elementwise.
-    gc = np.array([gc_fraction(float(o)) for o in occupancy]) * cpu
-
-    # Interference slows computation too (shared cores / hyperthread pairs).
-    cpu = cpu * b.env_cpu
-    gc = gc * b.env_cpu
-
-    # --- scheduling idle from locality wait -------------------------------------------
-    effective_slots = b.executors * b.concurrent
-    waves = np.maximum(1.0, n_tasks / np.maximum(1, effective_slots))
-    idle = np.zeros(n)
-    if stage.input_mb > 0 or stage.cached_read_mb > 0:
-        raw_idle = np.minimum(
-            b.locality_wait, 0.02 * b.locality_wait * waves,
-        ) / waves
-        idle = np.where(b.locality_wait > 0, raw_idle, 0.0)
-
-    total = cpu + disk + net + gc + calib.task_launch_s + idle
-    driver = (
-        calib.driver_stage_overhead_s
-        + calib.driver_dispatch_s_per_task * n_tasks
-        + stage.collect_mb * calib.collect_s_per_mb
-    )
-    return StageCostBatch(
-        num_tasks=n_tasks,
-        cpu_s=cpu,
-        disk_s=disk,
-        net_s=net,
-        gc_s=gc,
-        idle_s=idle,
-        total_s=total,
-        driver_s=driver,
-        spilled_mb=spilled_logical,
-        spill_mb_total=spilled_logical * n_tasks,
-        oom=oom,
-    )
-
-
 # --- joint stage x candidate plan program --------------------------------------
 #
-# The plan-level twin of :func:`compute_stage_cost_batch`: all S stages of
-# a compiled workload costed for all N candidates in one fused sweep of
-# (S, N) struct-of-arrays operations.  Stage-level branches of the scalar
-# model become per-row masks whose contributions are ``np.where(mask,
-# term, 0.0)`` — adding exact 0.0 to the non-negative accumulators is a
-# bitwise no-op — so the bit-identity contract extends unchanged:
-# elementwise IEEE arithmetic does not care whether it ran per stage or
-# per plan.
+# All S stages of a compiled workload costed for all N candidates in one
+# fused sweep of (S, N) struct-of-arrays operations.  Stage-level
+# branches of the scalar model become per-row masks whose contributions
+# are ``np.where(mask, term, 0.0)``, so elementwise IEEE arithmetic gives
+# the same bits whether it ran per stage or per plan.
 
 
 @dataclass
@@ -719,6 +299,8 @@ class PlanCostBatch:
     spilled_mb: np.ndarray
     spill_mb_total: np.ndarray
     oom: np.ndarray
+    working_set_mb: np.ndarray   # per-task in-memory working set
+    execution_mb: np.ndarray     # per-task execution memory available
 
 
 def build_plan_arrays(compiled: CompiledWorkload) -> PlanArrays:
@@ -794,12 +376,11 @@ def compute_plan_cost_batch(
 ) -> PlanCostBatch:
     """All stages x all candidates in one fused struct-of-arrays sweep.
 
-    Bit-identical to running :func:`compute_stage_cost_batch` per stage
-    (and therefore to the scalar model): every elementwise operation is
-    the same IEEE operation in the same order, broadcast over ``(S, N)``
-    instead of ``(N,)``; stage-level ``if`` guards become row masks with
-    exact-zero masked contributions; the ``pow``-carrying GC curve stays
-    an elementwise Python call.
+    Bit-identical to the scalar reference model run stage by stage and
+    candidate by candidate: every elementwise operation is the same IEEE
+    operation in the same order, broadcast over ``(S, N)``; stage-level
+    ``if`` guards become row masks with exact-zero masked contributions;
+    the ``pow``-carrying GC curve stays an elementwise Python call.
     """
     if calib is None:
         calib = Calibration()
@@ -978,4 +559,6 @@ def compute_plan_cost_batch(
         spilled_mb=spilled_logical,
         spill_mb_total=spilled_logical * n_tasks,
         oom=oom,
+        working_set_mb=working_set,
+        execution_mb=available,
     )

@@ -14,8 +14,6 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import networkx as nx
-
 from .rdd import RDD, Job
 
 __all__ = [
@@ -74,20 +72,34 @@ class JobPlan:
     job_name: str
     stages: list[StageProfile]
 
-    def graph(self) -> nx.DiGraph:
-        g = nx.DiGraph()
-        for s in self.stages:
-            g.add_node(s.stage_id, stage=s)
-        for s in self.stages:
-            for dep in s.depends_on:
-                g.add_edge(dep, s.stage_id)
-        return g
-
     def topological(self) -> list[StageProfile]:
-        g = self.graph()
-        order = list(nx.topological_sort(g))
+        """Stages in dependency order; ``ValueError`` on a cycle.
+
+        Kahn's algorithm by generations with a FIFO queue: roots start
+        in stage order, and each stage's dependants are released in the
+        order their edges appear in the stage list.  That is the order
+        ``networkx.topological_sort`` produced on the equivalent
+        ``DiGraph``, and it is part of the contract: plan order fixes
+        the order of the simulator's noise draws.
+        """
         by_id = {s.stage_id: s for s in self.stages}
-        return [by_id[i] for i in order]
+        indegree = dict.fromkeys(by_id, 0)
+        dependants: dict[int, list[int]] = {sid: [] for sid in by_id}
+        for s in self.stages:
+            for dep in dict.fromkeys(s.depends_on):   # one edge per pair
+                dependants[dep].append(s.stage_id)
+                indegree[s.stage_id] += 1
+        queue = [sid for sid, d in indegree.items() if d == 0]
+        for sid in queue:                 # the queue grows while it is read
+            for child in dependants[sid]:
+                indegree[child] -= 1
+                if indegree[child] == 0:
+                    queue.append(child)
+        if len(queue) < len(by_id):
+            raise ValueError(
+                f"job {self.job_name!r} compiled to a cyclic stage graph"
+            )
+        return [by_id[sid] for sid in queue]
 
     @property
     def num_stages(self) -> int:
@@ -256,7 +268,7 @@ def compile_job(job: Job, registry: CacheRegistry | None = None,
                 stage.input_mb + stage.shuffle_read_mb + stage.cached_read_mb
             ) / produced
     plan = JobPlan(job_name=job.action, stages=stages)
-    _check_acyclic(plan)
+    plan.topological()    # raises on a cyclic stage graph
     return plan
 
 
@@ -265,11 +277,6 @@ def _index_of(stages: list[StageProfile], stage_id: int) -> int:
         if s.stage_id == stage_id:
             return i
     raise KeyError(stage_id)
-
-
-def _check_acyclic(plan: JobPlan) -> None:
-    if not nx.is_directed_acyclic_graph(plan.graph()):
-        raise ValueError(f"job {plan.job_name!r} compiled to a cyclic stage graph")
 
 
 # --- compiled (config-independent) execution plans ----------------------------

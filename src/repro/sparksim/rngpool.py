@@ -1,8 +1,8 @@
 """Pooled, batch-seeded per-candidate noise generators.
 
-The batch fast path owes every candidate its own
+The simulator owes every candidate its own
 ``np.random.default_rng(seed)`` stream — that is the bit-identity
-contract with the scalar path.  Constructing one costs ~8-12 µs,
+contract with the scalar reference model.  Constructing one costs ~8-12 µs,
 dominated by ``SeedSequence`` entropy mixing and ``PCG64.__init__``: at
 batch-path speeds that is a measurable slice of every evaluation.
 
@@ -53,6 +53,11 @@ _POOL_SIZE = 4
 
 #: seeds above this need >2 entropy words; they take the fallback path
 _MAX_FAST_SEED = 2**64
+
+#: below this many seeds the vectorized sweep's fixed cost (~100 small
+#: uint32 array ops, ~0.2 ms) exceeds plain ``default_rng`` construction
+#: (~15 µs per seed); measured crossover 12-20 seeds on a 2-CPU x86 VM
+_MIN_POOLED = 16
 
 
 def _seed_words_vec(seeds: Sequence[int]) -> list[np.ndarray]:
@@ -160,9 +165,11 @@ class GeneratorPool:
     exact state ``np.random.default_rng(seed)`` would start in.  The
     underlying ``PCG64`` bit generators are pooled and re-seeded via the
     ``state`` setter from one vectorized seeding sweep, costing ~3 µs
-    per candidate instead of ~9 µs.  Generators are only valid until the
-    next :meth:`generators` call — the batch path consumes them within
-    one ``run_batch`` sweep, which is single-threaded by construction.
+    per candidate instead of ~9 µs.  Pooled generators are only valid
+    until the next :meth:`generators` call — the simulator consumes them
+    within one sweep, which is single-threaded by construction.  Fewer
+    than :data:`_MIN_POOLED` seeds get fresh ``default_rng`` generators
+    instead, so single runs neither pay the sweep nor share pool state.
     """
 
     def __init__(self) -> None:
@@ -170,7 +177,7 @@ class GeneratorPool:
         self._gens: list[np.random.Generator] = []
 
     def generators(self, seeds: Sequence[int]) -> list[np.random.Generator]:
-        if not FAST_SEEDING or any(
+        if len(seeds) < _MIN_POOLED or not FAST_SEEDING or any(
             not (0 <= seed < _MAX_FAST_SEED) for seed in seeds
         ):
             return [np.random.default_rng(seed) for seed in seeds]

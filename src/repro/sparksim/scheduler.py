@@ -12,14 +12,14 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .costmodel import Calibration
 from .metrics import TaskMetrics
 
-__all__ = ["StageSchedule", "schedule_stage", "schedule_stage_batch"]
+__all__ = ["StageSchedule", "schedule_stage"]
 
 
 @dataclass(frozen=True)
@@ -46,33 +46,18 @@ def _sample_durations(n_tasks: int, base_task_s: float, rng: np.random.Generator
     return durations
 
 
-def _apply_speculation(durations: np.ndarray, config: Mapping) -> tuple[np.ndarray, int, float]:
-    """Clamp the straggler tail as speculative copies overtake originals."""
-    median = float(np.median(durations))
-    multiplier = float(config.get("spark.speculation.multiplier", 1.5))
-    quantile = float(config.get("spark.speculation.quantile", 0.75))
-    threshold = median * max(1.01, multiplier)
-    # Speculation only monitors once `quantile` of tasks completed; tasks
-    # below that completion point are never candidates.
-    cutoff = float(np.quantile(durations, quantile))
-    candidates = durations > max(threshold, cutoff)
-    n_spec = int(candidates.sum())
-    if n_spec == 0:
-        return durations, 0, 0.0
-    clamped = durations.copy()
-    # The speculative copy starts at the threshold and runs a fresh median
-    # duration; the task finishes at whichever copy is first.
-    finish_with_copy = threshold + median
-    clamped[candidates] = np.minimum(clamped[candidates], finish_with_copy)
-    wasted = float(n_spec * median)  # duplicate occupancy
-    return clamped, n_spec, wasted
-
-
 def schedule_stage(n_tasks: int, base_task_s: float, slots: int,
                    config: Mapping, rng: np.random.Generator,
                    calib: Calibration | None = None,
                    noise: bool = True) -> StageSchedule:
-    """List-schedule ``n_tasks`` noisy tasks onto ``slots`` slots."""
+    """List-schedule ``n_tasks`` noisy tasks onto ``slots`` slots.
+
+    The stage's task noise is drawn from ``rng``, the run's single noise
+    stream, so the draw order is part of the simulator's bit-identity
+    contract.  Medians and quantiles come from the partition kernels
+    below, bit-identical to ``np.median``/``np.quantile`` at a fraction
+    of their per-call dispatch.
+    """
     if calib is None:
         calib = Calibration()
     if n_tasks < 1:
@@ -88,24 +73,42 @@ def schedule_stage(n_tasks: int, base_task_s: float, slots: int,
         durations = np.full(n_tasks, base_task_s)
 
     speculated, wasted = 0, 0.0
-    if config.get("spark.speculation", False) and noise and n_tasks >= 4:
-        durations, speculated, wasted = _apply_speculation(durations, config)
-        # Duplicate copies occupy slots: model as extra tasks of median size.
+    if noise and n_tasks >= 4 and config.get("spark.speculation", False):
+        # Speculation only monitors once `quantile` of tasks completed;
+        # tasks below that completion point are never candidates.
+        median, cutoff = _median_quantile_1d(
+            durations, float(config.get("spark.speculation.quantile", 0.75)),
+        )
+        multiplier = float(config.get("spark.speculation.multiplier", 1.5))
+        threshold = median * max(1.01, multiplier)
+        candidates = durations > max(threshold, cutoff)
+        speculated = int(candidates.sum())
         if speculated:
-            extra = np.full(speculated, float(np.median(durations)) * 0.5)
-            durations = np.concatenate([durations, extra])
+            # The speculative copy starts at the threshold and runs a
+            # fresh median duration; the task finishes at whichever copy
+            # is first.
+            clamped = durations.copy()
+            clamped[candidates] = np.minimum(
+                clamped[candidates], threshold + median,
+            )
+            wasted = float(speculated * median)  # duplicate occupancy
+            # Duplicate copies occupy slots: model as extra tasks of
+            # median size.
+            extra = np.full(speculated, _median_1d(clamped) * 0.5)
+            durations = np.concatenate([clamped, extra])
 
     makespan = _list_schedule(durations, slots)
     real = durations[:n_tasks]
+    p50, p95 = _median_quantile_1d(real, 0.95)
     metrics = TaskMetrics(
         count=n_tasks,
         mean_s=float(real.sum() / real.size),
-        p50_s=float(np.median(real)),
-        p95_s=float(np.quantile(real, 0.95)),
+        p50_s=p50,
+        p95_s=p95,
         max_s=float(real.max()),
     )
     return StageSchedule(
-        makespan_s=float(makespan),
+        makespan_s=makespan,
         task_metrics=metrics,
         speculated_tasks=speculated,
         wasted_task_seconds=wasted,
@@ -115,8 +118,8 @@ def schedule_stage(n_tasks: int, base_task_s: float, slots: int,
 def _list_schedule_heap(durations: np.ndarray, slots: int) -> float:
     """Greedy earliest-available-slot assignment (what Spark's FIFO does).
 
-    Reference implementation; kept as the oracle for the equivalence
-    property test of :func:`_list_schedule`.
+    The production path below :data:`_MIN_VECTOR_SLOTS` slots, and the
+    oracle for the equivalence property test of :func:`_list_schedule`.
     """
     n = len(durations)
     if n <= slots:
@@ -243,37 +246,15 @@ def _median_1d(x: np.ndarray) -> float:
     return float((part[h - 1] + part[h]) / 2.0)
 
 
-def _quantile_1d(x: np.ndarray, q: float) -> float:
-    """``float(np.quantile(x, q))`` (linear method) without the dispatch.
-
-    Replicates numpy's virtual-index + lerp arithmetic exactly —
-    including the ``gamma >= 0.5`` symmetric-lerp branch — so results
-    are bit-identical to ``np.quantile`` for 1-D float input.
-    """
-    n = x.size
-    vi = q * (n - 1)
-    part = x.copy()
-    if vi >= n - 1:
-        part.partition(n - 1)
-        return float(part[n - 1])
-    lo = math.floor(vi)
-    g = vi - lo
-    part.partition((lo, lo + 1))
-    a = part[lo]
-    b = part[lo + 1]
-    diff = b - a
-    if g >= 0.5:
-        return float(b - diff * (1 - g))
-    return float(a + diff * g)
-
-
 def _median_quantile_1d(x: np.ndarray, q: float) -> tuple[float, float]:
     """``(np.median(x), np.quantile(x, q))`` from one shared partition.
 
     ``np.partition`` with several kth indices places the sorted-order
     element at every requested position, so the median and quantile read
     the exact values the separate calls would — one array copy and one
-    selection pass instead of two.
+    selection pass instead of two.  The quantile replicates numpy's
+    linear-method virtual index and lerp, including the ``gamma >= 0.5``
+    symmetric-lerp branch, so it is bit-identical to ``np.quantile``.
     """
     n = x.size
     h = n // 2
@@ -301,83 +282,3 @@ def _median_quantile_1d(x: np.ndarray, q: float) -> tuple[float, float]:
     if g >= 0.5:
         return median, float(b - diff * (1 - g))
     return median, float(a + diff * g)
-
-
-def schedule_stage_batch(n_tasks: np.ndarray, base_task_s: np.ndarray,
-                         slots: np.ndarray, spec_enabled: np.ndarray,
-                         spec_multiplier: np.ndarray, spec_quantile: np.ndarray,
-                         rngs: Sequence[np.random.Generator],
-                         calib: Calibration | None = None,
-                         noise: bool = True) -> list[StageSchedule]:
-    """Schedule one stage for N candidates; bit-identical to a loop of
-    :func:`schedule_stage`.
-
-    Every input is a per-candidate array (``rngs`` a list of generators,
-    one stream per candidate), and sampling stays per-candidate — each
-    rng must consume exactly the draws the scalar path would.  The cost
-    the batch path eliminates is the reduction dispatch: candidates tune
-    ``spark.default.parallelism``, so per-stage duration arrays differ in
-    length and cannot stack into one matrix; instead the median/quantile
-    calls that dominate scalar scheduling are answered by
-    :func:`_median_1d` / :func:`_quantile_1d`, partition-based replicas
-    with ~5-13x less per-call overhead and bitwise-equal results.
-    """
-    if calib is None:
-        calib = Calibration()
-    m = len(rngs)
-    # One bulk tolist() per input instead of m numpy-scalar unboxings.
-    n_list = np.asarray(n_tasks).tolist()
-    base_list = np.asarray(base_task_s, dtype=float).tolist()
-    slots_list = np.asarray(slots).tolist()
-    spec_list = np.asarray(spec_enabled).tolist()
-    mult_list = np.asarray(spec_multiplier, dtype=float).tolist()
-    q_list = np.asarray(spec_quantile, dtype=float).tolist()
-    schedules: list[StageSchedule] = []
-    for i in range(m):
-        n_i = int(n_list[i])
-        if n_i < 1:
-            raise ValueError("n_tasks must be >= 1")
-        slots_i = int(slots_list[i])
-        if slots_i < 1:
-            raise ValueError("slots must be >= 1")
-        base_i = base_list[i]
-        if base_i < 0:
-            raise ValueError("base_task_s must be non-negative")
-        if noise:
-            durations = _sample_durations(n_i, base_i, rngs[i], calib)
-        else:
-            durations = np.full(n_i, base_i)
-
-        speculated, wasted = 0, 0.0
-        if spec_list[i] and noise and n_i >= 4:
-            median, cutoff = _median_quantile_1d(durations, q_list[i])
-            threshold = median * max(1.01, mult_list[i])
-            candidates = durations > max(threshold, cutoff)
-            speculated = int(candidates.sum())
-            if speculated:
-                clamped = durations.copy()
-                finish_with_copy = threshold + median
-                clamped[candidates] = np.minimum(
-                    clamped[candidates], finish_with_copy,
-                )
-                wasted = float(speculated * median)
-                extra = np.full(speculated, _median_1d(clamped) * 0.5)
-                durations = np.concatenate([clamped, extra])
-
-        makespan = _list_schedule(durations, slots_i)
-        real = durations[:n_i]
-        p50, p95 = _median_quantile_1d(real, 0.95)
-        metrics = TaskMetrics(
-            count=n_i,
-            mean_s=float(real.sum() / real.size),
-            p50_s=p50,
-            p95_s=p95,
-            max_s=float(real.max()),
-        )
-        schedules.append(StageSchedule(
-            makespan_s=float(makespan),
-            task_metrics=metrics,
-            speculated_tasks=speculated,
-            wasted_task_seconds=wasted,
-        ))
-    return schedules

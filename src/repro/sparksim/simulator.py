@@ -14,7 +14,9 @@ the cluster fail fast; tasks whose working set cannot even spill OOM and
 fail the application after retries — both produce the expensive crash
 behaviour Section IV of the paper describes.
 
-Three throughput layers sit on top of the single-run path:
+:meth:`SparkSimulator.run`, :meth:`~SparkSimulator.run_jobs` and
+:meth:`~SparkSimulator.run_batch` share one simulation path, which
+handles a single candidate as a batch of one:
 
 * a **compiled-plan cache**: the stage DAG and the cache-registry
   evolution are config-independent, so each ``(workload, input_mb,
@@ -23,18 +25,19 @@ Three throughput layers sit on top of the single-run path:
   — optionally backed by a cross-process on-disk
   :class:`~repro.sparksim.planstore.PlanStore` so pool workers never
   recompile plans the parent already built;
-* a **candidate-batched joint program** (:meth:`SparkSimulator.run_batch`)
-  that costs *all stages for all candidates* in one fused ``(stages,
-  candidates)`` numpy sweep (:func:`~repro.sparksim.costmodel.
-  compute_plan_cost_batch` over cached
-  :class:`~repro.sparksim.costmodel.PlanArrays`), then replays only the
-  rng-ordered scheduling walk per candidate from bulk-unboxed scalars,
-  with the per-candidate generators pre-seeded by one vectorized
-  sweep (:mod:`repro.sparksim.rngpool`).  Its contract is
-  *bit-identity*: the results equal a loop of
-  :meth:`SparkSimulator.run` exactly, including OOM/reject candidates
-  and injected faults (fault-struck candidates drop out of the batch
-  and finish on the scalar path).
+* a **joint cost program** that costs *all stages for all candidates*
+  in one fused ``(stages, candidates)`` numpy sweep
+  (:func:`~repro.sparksim.costmodel.compute_plan_cost_batch` over cached
+  :class:`~repro.sparksim.costmodel.PlanArrays`);
+* one **scheduling walk** per candidate over its stages in plan order
+  (:func:`~repro.sparksim.scheduler.schedule_stage`), on the candidate's
+  own noise generator, pre-seeded by one vectorized sweep
+  (:mod:`repro.sparksim.rngpool`).  Injected faults act inside this
+  walk.
+
+Results depend only on each candidate's (config, env, seed): a batch
+equals the same candidates run one at a time, in any order.  The test
+suite pins every field against a readable scalar reference model.
 """
 
 from __future__ import annotations
@@ -53,27 +56,18 @@ from .costmodel import (
     build_batch_inputs,
     build_plan_arrays,
     compute_plan_cost_batch,
-    compute_stage_cost,
 )
 from .dag import CompiledWorkload, compile_workload, fingerprint_jobs
 from .executor import ExecutorModel
 from .faults import NO_FAULTS, FaultPlan
-from .memory import plan_cache
-from .metrics import ExecutionResult, StageMetrics, TaskMetrics
+from .metrics import ExecutionResult, StageMetrics
 from .rngpool import GeneratorPool
-from .scheduler import (
-    _list_schedule,
-    _median_1d,
-    _median_quantile_1d,
-    _sample_durations,
-    schedule_stage,
-)
+from .scheduler import schedule_stage
 
 if TYPE_CHECKING:
     from ..config.constraints import ResourceGrant
     from ..workloads.base import Workload
-    from .costmodel import StageCost
-    from .dag import CompiledStage
+    from .faults import FaultDraw
     from .planstore import PlanStore
     from .rdd import Job
 
@@ -141,7 +135,7 @@ class SparkSimulator:
         # Holding the compiled plan strongly pins its id, like the plan
         # cache's identity tier.
         self._plan_arrays_cache: OrderedDict = OrderedDict()
-        # Pooled per-candidate noise generators for the batch fast path.
+        # Pooled per-candidate noise generators, re-seeded for every call.
         self._rng_pool = GeneratorPool()
 
     # --- plan cache -------------------------------------------------------
@@ -198,184 +192,23 @@ class SparkSimulator:
             self._plan_cache_by_id.popitem(last=False)
         return compiled
 
-    # --- single-candidate path -------------------------------------------
+    # --- public entry points ---------------------------------------------
     def run(self, workload: Workload, input_mb: float, cluster: Cluster,
             config: Mapping[str, Any],
             env: Environment = QUIET, seed: int = 0) -> ExecutionResult:
         """Execute ``workload`` at ``input_mb`` scale and return metrics."""
         compiled = self.compile_workload(workload, input_mb)
-        return self._run_compiled(compiled, cluster, config, env=env, seed=seed)
+        return self._simulate(compiled, self._plan_program(compiled), cluster,
+                              [config], [env], [seed])[0]
 
     def run_jobs(self, name: str, input_mb: float, jobs: Sequence[Job],
                  cluster: Cluster, config: Mapping[str, Any],
                  env: Environment = QUIET, seed: int = 0) -> ExecutionResult:
         """Execute an explicit job list (compiled fresh, uncached)."""
         compiled = compile_workload(name, input_mb, jobs)
-        return self._run_compiled(compiled, cluster, config, env=env, seed=seed)
+        return self._simulate(compiled, build_plan_arrays(compiled), cluster,
+                              [config], [env], [seed])[0]
 
-    def _run_compiled(self, compiled: CompiledWorkload, cluster: Cluster,
-                      config: Mapping[str, Any], env: Environment = QUIET,
-                      seed: int = 0) -> ExecutionResult:
-        calib = self.calibration
-        name = compiled.name
-        input_mb = compiled.input_mb
-        rng = np.random.default_rng(seed)
-        # Faults ride their own (salt, seed)-keyed stream: drawing them
-        # never perturbs the noise rng, so a non-firing plan is a no-op.
-        faults = (
-            self.fault_plan.draw(seed) if self.fault_plan is not None
-            else NO_FAULTS
-        )
-        injected: list[str] = []
-        if faults.env_multiplier > 1.0:
-            env = faults.spike_env(env)
-            injected.append(f"env_spike:x{faults.env_multiplier:g}")
-        grant = grant_resources(config, cluster)
-        if grant.executors < 1:
-            return ExecutionResult(
-                workload=name, input_mb=input_mb, runtime_s=_REJECT_S,
-                success=False, executors_granted=0,
-                executors_requested=grant.requested_executors,
-                failure_reason="executor container does not fit any node",
-                environment_factor=env.combined(),
-                faults_injected=tuple(injected),
-            )
-
-        executor = ExecutorModel.from_config(config)
-        # spark.task.cpus reserves multiple cores per task: the number of
-        # concurrently running tasks is executors x (cores // task.cpus).
-        slots = max(1, grant.executors * executor.concurrent_tasks)
-        runtime = calib.app_startup_base_s + calib.app_startup_per_executor_s * grant.executors
-        stage_metrics: list[StageMetrics] = []
-        tasks_of_stage: dict[int, int] = {}
-        ordinal = 0          # executed-stage counter; targets stage faults
-
-        for cjob in compiled.jobs:
-            runtime += calib.job_submit_s
-            for cstage in cjob.stages:
-                stage = cstage.stage
-                cache = plan_cache(
-                    cstage.cached_mb, grant.executors, executor, config,
-                    recompute_cpu_s_per_mb=cstage.recompute_cpu_s_per_mb,
-                    recompute_io_mb_per_mb=cstage.recompute_io_mb_per_mb,
-                )
-                num_map_tasks = sum(
-                    tasks_of_stage.get(dep, 0) for dep in stage.depends_on
-                )
-                cost = compute_stage_cost(
-                    stage, config, cluster, grant, executor, cache, env,
-                    num_map_tasks=num_map_tasks, calib=calib,
-                )
-                tasks_of_stage[stage.stage_id] = cost.num_tasks
-
-                if ordinal == faults.oom_stage:
-                    # Injected container kill: retries then application abort,
-                    # the same expensive crash shape as a genuine OOM.
-                    wasted = cost.task.total_s * _MAX_ATTEMPTS + cost.driver_s
-                    runtime += wasted
-                    stage_metrics.append(self._failed_stage(stage, cost, wasted))
-                    injected.append(f"oom_kill:stage{ordinal}")
-                    return ExecutionResult(
-                        workload=name, input_mb=input_mb, runtime_s=runtime,
-                        success=False, stages=stage_metrics,
-                        executors_granted=grant.executors,
-                        executors_requested=grant.requested_executors,
-                        total_slots=slots,
-                        failure_reason=(
-                            f"fault-injected OOM kill in stage "
-                            f"{stage.stage_id} ({stage.name})"
-                        ),
-                        environment_factor=env.combined(),
-                        faults_injected=tuple(injected),
-                    )
-
-                if cost.task.oom:
-                    # Retries then application abort.
-                    wasted = cost.task.total_s * _MAX_ATTEMPTS + cost.driver_s
-                    runtime += wasted
-                    stage_metrics.append(self._failed_stage(stage, cost, wasted))
-                    return ExecutionResult(
-                        workload=name, input_mb=input_mb, runtime_s=runtime,
-                        success=False, stages=stage_metrics,
-                        executors_granted=grant.executors,
-                        executors_requested=grant.requested_executors,
-                        total_slots=slots,
-                        failure_reason=(
-                            f"OOM in stage {stage.stage_id} ({stage.name}): "
-                            f"task working set {cost.task.spilled_mb + 0:.0f}MB+ "
-                            f"exceeds executor execution memory"
-                        ),
-                        environment_factor=env.combined(),
-                        faults_injected=tuple(injected),
-                    )
-
-                schedule = schedule_stage(
-                    cost.num_tasks, cost.task.total_s, slots,
-                    config, rng, calib=calib, noise=self.noise,
-                )
-                makespan = schedule.makespan_s
-                if ordinal == faults.straggler_stage:
-                    makespan *= faults.straggler_factor
-                    injected.append(
-                        f"straggler:stage{ordinal}:x{faults.straggler_factor:g}"
-                    )
-                if ordinal == faults.loss_stage and faults.loss_fraction > 0.0:
-                    # In-flight work on the lost executors re-runs, and every
-                    # later stage schedules onto the surviving slots only.
-                    makespan += schedule.makespan_s * faults.loss_fraction
-                    lost = min(
-                        grant.executors - 1,
-                        max(1, round(grant.executors * faults.loss_fraction)),
-                    )
-                    if lost > 0:
-                        slots = max(
-                            1,
-                            (grant.executors - lost) * executor.concurrent_tasks,
-                        )
-                    injected.append(f"executor_loss:stage{ordinal}:{lost}")
-                elapsed = makespan + cost.driver_s
-                runtime += elapsed
-                ordinal += 1
-                n = cost.num_tasks
-                stage_metrics.append(
-                    StageMetrics(
-                        stage_id=stage.stage_id,
-                        name=stage.name,
-                        num_tasks=n,
-                        duration_s=elapsed,
-                        input_mb=cost.input_mb,
-                        cached_read_mb=cost.cached_read_mb,
-                        shuffle_read_mb=cost.shuffle_read_mb,
-                        shuffle_write_mb=cost.shuffle_write_mb,
-                        spill_mb=cost.spill_mb_total,
-                        cpu_time_s=cost.task.cpu_s * n,
-                        gc_time_s=cost.task.gc_s * n,
-                        io_time_s=cost.task.disk_s * n,
-                        net_time_s=cost.task.net_s * n,
-                        task_metrics=schedule.task_metrics,
-                        output_mb=stage.output_mb if stage.writes_output else 0.0,
-                        writes_output=stage.writes_output,
-                    )
-                )
-
-        if self.noise:
-            runtime *= float(
-                rng.lognormal(
-                    mean=-0.5 * calib.run_noise_sigma**2,
-                    sigma=calib.run_noise_sigma,
-                )
-            )
-        return ExecutionResult(
-            workload=name, input_mb=input_mb, runtime_s=runtime, success=True,
-            stages=stage_metrics,
-            executors_granted=grant.executors,
-            executors_requested=grant.requested_executors,
-            total_slots=slots,
-            environment_factor=env.combined(),
-            faults_injected=tuple(injected),
-        )
-
-    # --- candidate-batched path ------------------------------------------
     def run_batch(self, workload: Workload, input_mb: float, cluster: Cluster,
                   configs: Sequence[Mapping[str, Any]],
                   envs: Sequence[Environment] | None = None,
@@ -384,9 +217,7 @@ class SparkSimulator:
         ``[self.run(workload, input_mb, cluster, c, env=e, seed=s) ...]``.
 
         ``envs``/``seeds`` default to ``QUIET``/``0`` for every candidate
-        (matching :meth:`run`'s defaults).  Candidates struck by
-        simulated faults finish on the scalar path; everything else runs
-        through one vectorized cost sweep per stage.
+        (matching :meth:`run`'s defaults).
         """
         configs = list(configs)
         n = len(configs)
@@ -397,52 +228,8 @@ class SparkSimulator:
         if n == 0:
             return []
         compiled = self.compile_workload(workload, input_mb)
-        if n == 1:
-            return [self._run_compiled(compiled, cluster, configs[0],
-                                       env=envs[0], seed=seeds[0])]
-        return self._run_batch_compiled(compiled, cluster, configs, envs, seeds)
-
-    def _run_batch_compiled(self, compiled: CompiledWorkload, cluster: Cluster,
-                            configs: Sequence[Mapping[str, Any]],
-                            envs: Sequence[Environment],
-                            seeds: Sequence[int]) -> list[ExecutionResult]:
-        calib = self.calibration
-        n = len(configs)
-        results: list[ExecutionResult | None] = [None] * n
-
-        # Screen candidates: simulated faults (stage targets, env spikes)
-        # perturb control flow mid-run, so those candidates take the
-        # scalar path; rejected grants fail before any rng draw and are
-        # also handled scalar (it is the same early-exit code).
-        # worker_crash is an infrastructure fault the simulator ignores.
-        scalar: list[int] = []
-        active: list[int] = []
-        grants = {}
-        for i in range(n):
-            faults = (
-                self.fault_plan.draw(seeds[i]) if self.fault_plan is not None
-                else NO_FAULTS
-            )
-            if (faults.loss_stage >= 0 or faults.straggler_stage >= 0
-                    or faults.oom_stage >= 0 or faults.env_multiplier > 1.0):
-                scalar.append(i)
-                continue
-            grant = grant_resources(configs[i], cluster)
-            if grant.executors < 1:
-                scalar.append(i)
-                continue
-            grants[i] = grant
-            active.append(i)
-
-        if active:
-            self._run_active_batch(compiled, cluster, configs, envs, seeds,
-                                   active, grants, results)
-        for i in scalar:
-            results[i] = self._run_compiled(compiled, cluster, configs[i],
-                                            env=envs[i], seed=seeds[i])
-        # every index is filled by exactly one of the three paths above,
-        # so the Optional slots are all resolved by now
-        return results  # type: ignore[return-value]
+        return self._simulate(compiled, self._plan_program(compiled), cluster,
+                              configs, envs, seeds)
 
     def _plan_program(self, compiled: CompiledWorkload) -> PlanArrays:
         """The (cached) joint-program columns for ``compiled``.
@@ -463,31 +250,59 @@ class SparkSimulator:
             self._plan_arrays_cache.popitem(last=False)
         return arrays
 
-    def _run_active_batch(self, compiled: CompiledWorkload, cluster: Cluster,
-                          configs: Sequence[Mapping[str, Any]],
-                          envs: Sequence[Environment], seeds: Sequence[int],
-                          active: Sequence[int],
-                          grants: Mapping[int, ResourceGrant],
-                          results: list[ExecutionResult | None]) -> None:
-        """Joint sweep over the fault-free, granted candidates.
+    def _simulate(self, compiled: CompiledWorkload, plan: PlanArrays,
+                  cluster: Cluster, configs: Sequence[Mapping[str, Any]],
+                  envs: Sequence[Environment],
+                  seeds: Sequence[int]) -> list[ExecutionResult]:
+        """The one simulation path, for any number of candidates.
 
-        One fused ``(stages, candidates)`` cost program
-        (:func:`compute_plan_cost_batch`) replaces the per-stage batch
-        loop; what remains per candidate is the rng-ordered scheduling
-        walk, driven entirely from bulk-unboxed Python scalars.  Noise
-        generators come pre-seeded from the pooled vectorized seeder.
+        1. Screen each candidate: draw its faults from their own
+           ``(salt, seed)`` stream, apply an ``env_spike`` to its
+           environment, and answer a rejected resource request at once,
+           before any noise draw.
+        2. Cost every granted candidate in one fused ``(stages,
+           candidates)`` sweep of :func:`compute_plan_cost_batch`.
+        3. Walk each granted candidate's stages in plan order on its own
+           noise generator.  Injected ``oom_kill``, ``straggler`` and
+           ``executor_loss`` faults strike at their stage ordinal, which
+           is the plan row; lost executors shrink later stages' slots.
         """
         calib = self.calibration
-        noise = self.noise
-        m = len(active)
-        cfgs = [configs[i] for i in active]
-        grant_list = [grants[i] for i in active]
-        executors = [ExecutorModel.from_config(c) for c in cfgs]
-        b = build_batch_inputs(cfgs, cluster, grant_list, executors,
-                               [envs[i] for i in active])
-        plan = self._plan_program(compiled)
+        results: list[ExecutionResult | None] = [None] * len(configs)
+        granted: list[int] = []
+        grants: list[ResourceGrant] = []
+        draws: list[FaultDraw] = []
+        run_envs: list[Environment] = []
+        for i, config in enumerate(configs):
+            faults = (
+                self.fault_plan.draw(seeds[i]) if self.fault_plan is not None
+                else NO_FAULTS
+            )
+            env = faults.spike_env(envs[i])
+            grant = grant_resources(config, cluster)
+            if grant.executors < 1:
+                results[i] = ExecutionResult(
+                    workload=compiled.name, input_mb=compiled.input_mb,
+                    runtime_s=_REJECT_S, success=False, executors_granted=0,
+                    executors_requested=grant.requested_executors,
+                    failure_reason="executor container does not fit any node",
+                    environment_factor=env.combined(),
+                    faults_injected=_spike_tags(faults),
+                )
+                continue
+            granted.append(i)
+            grants.append(grant)
+            draws.append(faults)
+            run_envs.append(env)
+        if not granted:
+            return results  # type: ignore[return-value]
+
+        cfgs = [configs[i] for i in granted]
+        b = build_batch_inputs(cfgs, cluster, grants,
+                               [ExecutorModel.from_config(c) for c in cfgs],
+                               run_envs)
         cost = compute_plan_cost_batch(plan, b, calib)
-        rngs = self._rng_pool.generators([seeds[i] for i in active])
+        rngs = self._rng_pool.generators([seeds[i] for i in granted])
 
         # One bulk unbox per array instead of a numpy scalar lookup per
         # field per candidate per stage; tolist() yields the same Python
@@ -498,10 +313,8 @@ class SparkSimulator:
             + calib.app_startup_per_executor_s * b.executors
         ).tolist()
         execs_l = b.executors.tolist()
+        concurrent_l = b.concurrent.tolist()
         req_l = b.requested.tolist()
-        spec_l = b.speculation.tolist()
-        mult_l = b.spec_multiplier.tolist()
-        q_l = b.spec_quantile.tolist()
         ntasks_ll = cost.num_tasks.tolist()
         total_ll = cost.total_s.tolist()
         driver_ll = cost.driver_s.tolist()
@@ -511,33 +324,37 @@ class SparkSimulator:
         disk_ll = cost.disk_s.tolist()
         net_ll = cost.net_s.tolist()
         spill_ll = cost.spill_mb_total.tolist()
-        spilled_ll = cost.spilled_mb.tolist()
 
-        s_count = plan.n_stages
-        submits = plan.job_submits_before
+        noise = self.noise
         stage_ids = plan.stage_ids
         names = plan.names
+        submits = plan.job_submits_before
         sigma = calib.run_noise_sigma
         job_submit_s = calib.job_submit_s
 
-        for k in range(m):
+        for k, i in enumerate(granted):
+            config = cfgs[k]
             rng = rngs[k]
+            faults = draws[k]
+            env = run_envs[k]
+            injected = list(_spike_tags(faults))
+            executors = execs_l[k]
+            slots = slots_l[k]
             runtime = startup_l[k]
-            slots_k = slots_l[k]
-            spec_k = spec_l[k]
-            stages_k: list[StageMetrics] = []
-            failed = False
-            for s in range(s_count):
+            stages: list[StageMetrics] = []
+            for s in range(plan.n_stages):
                 for _ in range(submits[s]):
                     runtime += job_submit_s
-                if oom_ll[s][k]:
-                    # Retries then application abort — same arithmetic as
-                    # the scalar early exit, from the plan arrays.
+                n_tasks = ntasks_ll[s][k]
+                killed = s == faults.oom_stage
+                if killed or oom_ll[s][k]:
+                    # Retries then application abort: an injected container
+                    # kill has the same expensive crash shape as a real OOM.
                     wasted = total_ll[s][k] * _MAX_ATTEMPTS + driver_ll[s][k]
                     runtime += wasted
-                    stages_k.append(StageMetrics(
+                    stages.append(StageMetrics(
                         stage_id=stage_ids[s], name=names[s],
-                        num_tasks=ntasks_ll[s][k], duration_s=wasted,
+                        num_tasks=n_tasks, duration_s=wasted,
                         input_mb=plan.input_mb_l[s],
                         cached_read_mb=plan.cached_read_mb_l[s],
                         shuffle_read_mb=plan.shuffle_read_mb_l[s],
@@ -545,99 +362,101 @@ class SparkSimulator:
                         spill_mb=0.0, cpu_time_s=0.0, gc_time_s=0.0,
                         io_time_s=0.0, net_time_s=0.0, failed=True,
                     ))
-                    results[active[k]] = ExecutionResult(
+                    if killed:
+                        injected.append(f"oom_kill:stage{s}")
+                        reason = (
+                            f"fault-injected OOM kill in stage "
+                            f"{stage_ids[s]} ({names[s]})"
+                        )
+                    else:
+                        reason = _oom_reason(
+                            stage_ids[s], names[s],
+                            float(cost.working_set_mb[s, k]),
+                            float(cost.execution_mb[s, k]),
+                        )
+                    results[i] = ExecutionResult(
                         workload=compiled.name, input_mb=compiled.input_mb,
-                        runtime_s=runtime, success=False,
-                        stages=stages_k,
-                        executors_granted=execs_l[k],
+                        runtime_s=runtime, success=False, stages=stages,
+                        executors_granted=executors,
                         executors_requested=req_l[k],
-                        total_slots=slots_k,
-                        failure_reason=(
-                            f"OOM in stage {stage_ids[s]} ({names[s]}): "
-                            f"task working set {spilled_ll[s][k] + 0:.0f}MB+ "
-                            f"exceeds executor execution memory"
-                        ),
-                        environment_factor=envs[active[k]].combined(),
-                        faults_injected=(),
+                        total_slots=slots,
+                        failure_reason=reason,
+                        environment_factor=env.combined(),
+                        faults_injected=tuple(injected),
                     )
-                    failed = True
                     break
 
-                n_i = ntasks_ll[s][k]
-                if noise:
-                    durations = _sample_durations(n_i, total_ll[s][k], rng,
-                                                  calib)
-                else:
-                    durations = np.full(n_i, total_ll[s][k])
-                if spec_k and noise and n_i >= 4:
-                    median, cutoff = _median_quantile_1d(durations, q_l[k])
-                    threshold = median * max(1.01, mult_l[k])
-                    candidates = durations > max(threshold, cutoff)
-                    speculated = int(candidates.sum())
-                    if speculated:
-                        clamped = durations.copy()
-                        finish_with_copy = threshold + median
-                        clamped[candidates] = np.minimum(
-                            clamped[candidates], finish_with_copy,
-                        )
-                        extra = np.full(speculated, _median_1d(clamped) * 0.5)
-                        durations = np.concatenate([clamped, extra])
-                makespan = _list_schedule(durations, slots_k)
-                real = durations[:n_i]
-                p50, p95 = _median_quantile_1d(real, 0.95)
+                schedule = schedule_stage(n_tasks, total_ll[s][k], slots,
+                                          config, rng, calib=calib,
+                                          noise=noise)
+                makespan = schedule.makespan_s
+                if s == faults.straggler_stage:
+                    makespan *= faults.straggler_factor
+                    injected.append(
+                        f"straggler:stage{s}:x{faults.straggler_factor:g}"
+                    )
+                if s == faults.loss_stage and faults.loss_fraction > 0.0:
+                    # In-flight work on the lost executors re-runs, and every
+                    # later stage schedules onto the surviving slots only.
+                    makespan += schedule.makespan_s * faults.loss_fraction
+                    lost = min(
+                        executors - 1,
+                        max(1, round(executors * faults.loss_fraction)),
+                    )
+                    if lost > 0:
+                        slots = max(1, (executors - lost) * concurrent_l[k])
+                    injected.append(f"executor_loss:stage{s}:{lost}")
                 elapsed = makespan + driver_ll[s][k]
                 runtime += elapsed
-                stages_k.append(StageMetrics(
+                stages.append(StageMetrics(
                     stage_id=stage_ids[s],
                     name=names[s],
-                    num_tasks=n_i,
+                    num_tasks=n_tasks,
                     duration_s=elapsed,
                     input_mb=plan.input_mb_l[s],
                     cached_read_mb=plan.cached_read_mb_l[s],
                     shuffle_read_mb=plan.shuffle_read_mb_l[s],
                     shuffle_write_mb=plan.shuffle_write_mb_l[s],
                     spill_mb=spill_ll[s][k],
-                    cpu_time_s=cpu_ll[s][k] * n_i,
-                    gc_time_s=gc_ll[s][k] * n_i,
-                    io_time_s=disk_ll[s][k] * n_i,
-                    net_time_s=net_ll[s][k] * n_i,
-                    task_metrics=TaskMetrics(
-                        count=n_i,
-                        mean_s=float(real.sum() / real.size),
-                        p50_s=p50,
-                        p95_s=p95,
-                        max_s=float(real.max()),
-                    ),
+                    cpu_time_s=cpu_ll[s][k] * n_tasks,
+                    gc_time_s=gc_ll[s][k] * n_tasks,
+                    io_time_s=disk_ll[s][k] * n_tasks,
+                    net_time_s=net_ll[s][k] * n_tasks,
+                    task_metrics=schedule.task_metrics,
                     output_mb=plan.out_mb[s],
                     writes_output=plan.writes_output[s],
                 ))
-            if failed:
-                continue
-            for _ in range(plan.trailing_job_submits):
-                runtime += job_submit_s
-            if noise:
-                runtime *= float(
-                    rng.lognormal(mean=-0.5 * sigma**2, sigma=sigma)
+            else:  # every stage ran: the application succeeded
+                for _ in range(plan.trailing_job_submits):
+                    runtime += job_submit_s
+                if noise:
+                    runtime *= float(
+                        rng.lognormal(mean=-0.5 * sigma**2, sigma=sigma)
+                    )
+                results[i] = ExecutionResult(
+                    workload=compiled.name, input_mb=compiled.input_mb,
+                    runtime_s=runtime, success=True, stages=stages,
+                    executors_granted=executors,
+                    executors_requested=req_l[k],
+                    total_slots=slots,
+                    environment_factor=env.combined(),
+                    faults_injected=tuple(injected),
                 )
-            results[active[k]] = ExecutionResult(
-                workload=compiled.name, input_mb=compiled.input_mb,
-                runtime_s=runtime, success=True, stages=stages_k,
-                executors_granted=execs_l[k],
-                executors_requested=req_l[k],
-                total_slots=slots_k,
-                environment_factor=envs[active[k]].combined(),
-                faults_injected=(),
-            )
+        # every index is either rejected at screening or walked above
+        return results  # type: ignore[return-value]
 
-    @staticmethod
-    def _failed_stage(stage: CompiledStage, cost: StageCost,
-                      wasted: float) -> StageMetrics:
-        return StageMetrics(
-            stage_id=stage.stage_id, name=stage.name, num_tasks=cost.num_tasks,
-            duration_s=wasted, input_mb=cost.input_mb,
-            cached_read_mb=cost.cached_read_mb,
-            shuffle_read_mb=cost.shuffle_read_mb,
-            shuffle_write_mb=cost.shuffle_write_mb,
-            spill_mb=0.0, cpu_time_s=0.0, gc_time_s=0.0, io_time_s=0.0,
-            net_time_s=0.0, failed=True,
-        )
+
+def _spike_tags(faults: FaultDraw) -> tuple[str, ...]:
+    """The audit tag of an ``env_spike``, which strikes before any stage."""
+    if faults.env_multiplier > 1.0:
+        return (f"env_spike:x{faults.env_multiplier:g}",)
+    return ()
+
+
+def _oom_reason(stage_id: int, name: str, working_set_mb: float,
+                execution_mb: float) -> str:
+    return (
+        f"OOM in stage {stage_id} ({name}): task working set "
+        f"{working_set_mb:.0f}MB cannot fit or spill within "
+        f"{execution_mb:.0f}MB of executor execution memory per task"
+    )

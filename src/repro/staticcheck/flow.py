@@ -644,49 +644,11 @@ class ExceptionFlowRule(FlowRule):
 #: by basename; a ``_batch`` suffix is stripped before comparison so the
 #: vectorized twin of a leaf counts as the same leaf.
 _LEAF_NAMES = frozenset({
-    "compute_stage_cost", "compute_stage_cost_batch",
-    "compute_plan_cost_batch",
-    "schedule_stage", "schedule_stage_batch",
-    "gc_fraction", "shuffle_read", "shuffle_write", "spill_outcome",
-    "serializer_of", "codec_of", "resolve_num_tasks",
-    "grant_resources", "_sample_durations", "_apply_speculation",
+    "compute_plan_cost_batch", "schedule_stage",
+    "gc_fraction", "serializer_of", "codec_of",
+    "grant_resources", "_sample_durations",
     "_list_schedule", "_median_1d", "_median_quantile_1d",
 })
-
-#: reviewed divergences, keyed by the scalar half's qualified name:
-#: (scalar_only, batch_only) leaf basenames that are allowed to differ.
-_PAIR_ALLOWANCES: dict[str, tuple[frozenset[str], frozenset[str]]] = {
-    # The batch cost model deliberately inlines the vectorized forms of
-    # the per-stage helpers (task counts, serializer/codec factors,
-    # shuffle and spill arithmetic) and only calls out for gc_fraction;
-    # bit-identity of the inlined math is pinned by
-    # tests/sparksim/test_batch_identity.py.
-    "repro.sparksim.costmodel.compute_stage_cost": (
-        frozenset({"resolve_num_tasks", "serializer_of", "codec_of",
-                   "shuffle_read", "shuffle_write", "spill_outcome"}),
-        frozenset(),
-    ),
-    # The batch scheduler replaces numpy median/quantile dispatch inside
-    # _apply_speculation with the local _median_1d/_median_quantile_1d
-    # kernels; equivalence is pinned by the same bit-identity suite.
-    "repro.sparksim.scheduler.schedule_stage": (
-        frozenset({"_apply_speculation"}),
-        frozenset({"_median_1d", "_median_quantile_1d"}),
-    ),
-    # run_batch keeps the scalar path reachable as its screening
-    # fallback, so its closure is a strict superset; the extra batch
-    # leaves are the scheduler kernels above plus the joint
-    # (stages x candidates) plan sweep, which fuses the whole
-    # compute_stage_cost_batch loop into one compiled program —
-    # bit-identity of the fused sweep (OOM masks, spill arithmetic,
-    # noise stream order) is pinned by test_batch_identity.py up to
-    # 512-candidate batches.
-    "repro.sparksim.simulator.SparkSimulator.run": (
-        frozenset(),
-        frozenset({"_median_1d", "_median_quantile_1d",
-                   "compute_plan_cost_batch"}),
-    ),
-}
 
 
 def _normalize_leaf(name: str) -> str:
@@ -720,15 +682,10 @@ class ScalarBatchDivergenceRule(FlowRule):
                 # pair is outside the cost/effect surface (e.g. a tuner's
                 # suggest/suggest_batch) — nothing to compare
                 continue
-            allowed_scalar, allowed_batch = _PAIR_ALLOWANCES.get(
-                scalar_q, (frozenset(), frozenset())
-            )
             scalar_norm = {_normalize_leaf(n) for n in scalar_leaves}
             batch_norm = {_normalize_leaf(n) for n in batch_leaves}
-            scalar_only = scalar_norm - batch_norm \
-                - {_normalize_leaf(n) for n in allowed_scalar}
-            batch_only = batch_norm - scalar_norm \
-                - {_normalize_leaf(n) for n in allowed_batch}
+            scalar_only = scalar_norm - batch_norm
+            batch_only = batch_norm - scalar_norm
             if not scalar_only and not batch_only:
                 continue
             info = graph.functions[batch_q]
@@ -747,8 +704,7 @@ class ScalarBatchDivergenceRule(FlowRule):
                 info.path, info.lineno, 0,
                 f"{scalar_q} and {batch_q} bottom out in different "
                 f"cost/effect leaves ({'; '.join(divergence)}); align the "
-                f"implementations or record the divergence in the "
-                f"reviewed allowance table",
+                f"implementations",
                 chain=self._chain_to_leaf(graph, root, sample),
             ))
         return findings

@@ -55,10 +55,8 @@ HOT_PATHS: tuple[HotPath, ...] = (
         roots=(
             "sparksim.simulator.SparkSimulator.run_batch",
             "sparksim.costmodel.build_batch_inputs",
-            "sparksim.costmodel.compute_stage_cost_batch",
             "sparksim.costmodel.build_plan_arrays",
             "sparksim.costmodel.compute_plan_cost_batch",
-            "sparksim.scheduler.schedule_stage_batch",
         ),
         reason="PhaseProfiler 'evaluate': the (S, N) joint "
                "stage-candidate cost sweep behind the >=50k evals/s "

@@ -1,12 +1,14 @@
-"""Property tests: ``run_batch`` is bit-identical to a loop of ``run()``.
+"""Property tests: the simulator is bit-identical to the scalar reference.
 
-The candidate-batched fast path (plan cache + struct-of-arrays stage
-costing) is an optimisation, not an approximation: every
-:class:`ExecutionResult` it produces must equal, field for field, what
-the scalar path returns for the same (config, env, seed).  These tests
-drive the contract across workloads, seeds, environments, batch sizes,
-fault plans, and candidate mixes that include cluster-manager rejections
-and OOM-failing configurations.
+The simulator's one path (plan cache, fused ``(stages, candidates)``
+cost program, per-candidate scheduling walk) is an optimisation, not an
+approximation: every :class:`ExecutionResult` it produces must equal,
+field for field, what the readable scalar model in
+:mod:`tests.sparksim.reference` returns for the same (config, env,
+seed), and a batch must equal the same candidates run one at a time.
+These tests drive the contract across workloads, seeds, environments,
+batch sizes, fault plans, and candidate mixes that include
+cluster-manager rejections and OOM-failing configurations.
 """
 
 import numpy as np
@@ -25,6 +27,8 @@ from repro.sparksim.faults import (
     straggler,
 )
 from repro.workloads import KMeans, Sort, Wordcount
+
+from .reference import simulate
 
 CLUSTER = Cluster.of("m5.2xlarge", 4)
 SPACE = spark_space()
@@ -69,13 +73,20 @@ def _candidates(rng, n, include_failures):
 
 
 def _assert_batch_identity(sim, workload, input_mb, configs, envs, seeds):
+    """``run_batch`` equals the scalar reference walk and N batches of one."""
     batch = sim.run_batch(workload, input_mb, CLUSTER, configs,
                           envs=envs, seeds=seeds)
-    scalar = [
-        sim.run(workload, input_mb, CLUSTER, c, env=e, seed=s)
+    jobs = workload.jobs(input_mb)
+    reference = [
+        simulate(sim, workload.name, input_mb, jobs, CLUSTER, c, env=e, seed=s)
         for c, e, s in zip(configs, envs, seeds)
     ]
-    assert batch == scalar
+    singles = [
+        sim.run_batch(workload, input_mb, CLUSTER, [c], envs=[e], seeds=[s])[0]
+        for c, e, s in zip(configs, envs, seeds)
+    ]
+    assert batch == reference
+    assert singles == reference
     return batch
 
 
@@ -154,7 +165,85 @@ def test_batch_of_one_and_empty():
     (config,) = _candidates(rng, 1, include_failures=False)
     sim = SparkSimulator()
     assert sim.run_batch(Sort(), 512.0, CLUSTER, []) == []
-    _assert_batch_identity(sim, Sort(), 512.0, [config], [TYPICAL], [9])
+    (result,) = _assert_batch_identity(sim, Sort(), 512.0, [config],
+                                       [TYPICAL], [9])
+    assert sim.run(Sort(), 512.0, CLUSTER, config, env=TYPICAL,
+                   seed=9) == result
+    assert sim.run_jobs("sort", 512.0, Sort().jobs(512.0), CLUSTER, config,
+                        env=TYPICAL, seed=9) == result
+
+
+#: every simulated fault kind, each likely enough that a short seed scan
+#: finds a run struck by it alone; span 2 lets stage faults miss stage 0
+ALL_KINDS = FaultPlan((
+    oom_kill(0.2, span=2),
+    straggler(0.2, slowdown=3.0, span=2),
+    executor_loss(0.2, fraction=0.5, span=2),
+    env_spike(0.2, multiplier=2.0),
+))
+
+
+def _seed_struck_by(plan, kind, taken):
+    """The first unused seed whose draw fires ``kind`` and nothing else
+    (``None`` fires nothing)."""
+    for seed in range(10_000):
+        if seed in taken:
+            continue
+        d = plan.draw(seed)
+        fired = {
+            "oom_kill": d.oom_stage >= 0,
+            "straggler": d.straggler_stage >= 0,
+            "executor_loss": d.loss_stage >= 0,
+            "env_spike": d.env_multiplier > 1.0,
+        }
+        if {k for k, hit in fired.items() if hit} == ({kind} if kind else set()):
+            return seed
+    raise AssertionError(f"no seed fires exactly {kind!r}")
+
+
+def test_one_batch_holds_every_failure_and_fault_kind():
+    """A reject, a genuine OOM and one run struck by each simulated fault
+    kind, all in one batch, each identical to the reference walk."""
+    rng = np.random.default_rng(17)
+    kinds = ["oom_kill", "straggler", "executor_loss", "env_spike"]
+    configs = [SPACE.sample_configuration(rng).replace(
+        **{"spark.executor.instances": 4, "spark.executor.cores": 2,
+           "spark.executor.memory": 4096, "spark.default.parallelism": 64})
+        for _ in kinds]
+    configs += [configs[0].replace(**REJECT), configs[0].replace(**OOM)]
+    seeds: list[int] = []
+    for kind in kinds + [None, None]:
+        seeds.append(_seed_struck_by(ALL_KINDS, kind, seeds))
+    envs = [ENVS[i % len(ENVS)] for i in range(len(configs))]
+    sim = SparkSimulator(fault_plan=ALL_KINDS)
+    batch = _assert_batch_identity(sim, Sort(), 1024.0, configs, envs, seeds)
+
+    for kind, result in zip(kinds, batch):
+        tags = [t.split(":")[0] for t in result.faults_injected]
+        assert tags == [kind], (kind, result.faults_injected)
+    assert batch[0].failure_reason.startswith("fault-injected OOM kill")
+    assert all(r.success for r in batch[1:4])
+    assert "does not fit" in batch[4].failure_reason
+    assert batch[5].failure_reason.startswith("OOM in stage")
+    assert not batch[4].faults_injected and not batch[5].faults_injected
+
+
+def test_permuting_candidates_permutes_results():
+    # 20 candidates: wide enough for the pooled generator sweep
+    n = 20
+    rng = np.random.default_rng(29)
+    configs = _candidates(rng, n, include_failures=True)
+    envs = [ENVS[i % len(ENVS)] for i in range(n)]
+    seeds = [3 * i + 1 for i in range(n)]
+    sim = SparkSimulator(fault_plan=PLANS[3])
+    results = sim.run_batch(Sort(), 1024.0, CLUSTER, configs, envs=envs,
+                            seeds=seeds)
+    order = np.random.default_rng(5).permutation(n).tolist()
+    permuted = sim.run_batch(Sort(), 1024.0, CLUSTER,
+                             [configs[i] for i in order],
+                             envs=[envs[i] for i in order],
+                             seeds=[seeds[i] for i in order])
+    assert permuted == [results[i] for i in order]
 
 
 def test_batch_arrays_keep_stable_dtypes():
@@ -198,8 +287,7 @@ def test_batch_arrays_keep_stable_dtypes():
     for name in ("parallelism", "executors", "requested", "concurrent",
                  "bypass_threshold"):
         assert getattr(b, name).dtype == np.int64, name
-    for name in ("shuffle_compress", "spill_compress", "speculation",
-                 "cache_miss_to_disk"):
+    for name in ("shuffle_compress", "spill_compress", "cache_miss_to_disk"):
         assert getattr(b, name).dtype == np.bool_, name
 
     assert plan.hint.dtype == np.int64
@@ -215,7 +303,8 @@ def test_batch_arrays_keep_stable_dtypes():
     assert cost.num_tasks.dtype == np.int64
     assert cost.oom.dtype == np.bool_
     for name in ("cpu_s", "disk_s", "net_s", "gc_s", "idle_s", "total_s",
-                 "driver_s", "spilled_mb", "spill_mb_total"):
+                 "driver_s", "spilled_mb", "spill_mb_total",
+                 "working_set_mb", "execution_mb"):
         assert getattr(cost, name).dtype == np.float64, name
 
 

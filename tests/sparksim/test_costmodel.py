@@ -1,4 +1,4 @@
-"""Direct unit tests for compute_stage_cost."""
+"""Direct unit tests for the reference model's compute_stage_cost."""
 
 import pytest
 
@@ -8,10 +8,11 @@ from repro.sparksim import (
     Calibration,
     ExecutorModel,
     StageProfile,
-    compute_stage_cost,
     plan_cache,
     with_overrides,
 )
+
+from .reference import compute_stage_cost
 
 
 def _config(**overrides):

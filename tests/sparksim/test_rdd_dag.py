@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sparksim import CacheRegistry, RDD, compile_job
+from repro.sparksim import CacheRegistry, JobPlan, RDD, StageProfile, compile_job
 
 
 class TestRDDLineage:
@@ -144,11 +144,41 @@ class TestDAGCompiler:
         assert final.output_mb == pytest.approx(100)
 
     def test_graph_is_acyclic_dag(self):
-        import networkx as nx
-
         a = RDD.source("a", 500).map()
         plan = compile_job(a.join(a.filter()).reduce_by_key().count())
-        assert nx.is_directed_acyclic_graph(plan.graph())
+        order = plan.topological()       # raises on a cycle
+        assert sorted(s.stage_id for s in order) == \
+            sorted(s.stage_id for s in plan.stages)
+        position = {s.stage_id: i for i, s in enumerate(order)}
+        for s in plan.stages:
+            for dep in s.depends_on:
+                assert position[dep] < position[s.stage_id]
+
+
+    @staticmethod
+    def _plan(deps_by_id):
+        return JobPlan("j", [
+            StageProfile(stage_id=sid, name=f"s{sid}", num_tasks_hint=1,
+                         depends_on=list(deps))
+            for sid, deps in deps_by_id
+        ])
+
+    def test_topological_order_is_kahn_by_generations(self):
+        # Roots in stage order, then each generation's dependants in edge
+        # order: the order networkx.topological_sort gave, which fixes
+        # the order of the simulator's noise draws.
+        plan = self._plan([(0, []), (1, [0]), (2, [0, 0]), (3, [1]),
+                           (4, []), (5, [4, 2])])
+        assert [s.stage_id for s in plan.topological()] == [0, 4, 1, 2, 3, 5]
+        listed_late = self._plan([(3, [1]), (1, [0]), (0, [])])
+        assert [s.stage_id for s in listed_late.topological()] == [0, 1, 3]
+
+    def test_cyclic_stage_graph_is_rejected(self):
+        plan = self._plan([(0, [2]), (1, [0]), (2, [1]), (3, [])])
+        with pytest.raises(ValueError, match="cyclic"):
+            plan.topological()
+        with pytest.raises(ValueError, match="cyclic"):
+            self._plan([(0, [0])]).topological()
 
 
 class TestCacheRegistry:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,27 @@ def _drain(gen: np.random.Generator) -> tuple:
     )
 
 
+@pytest.fixture
+def pool_every_batch(monkeypatch):
+    """Drive the vectorized sweep even for small batches, which
+    production hands to plain ``default_rng`` construction."""
+    monkeypatch.setattr(rngpool, "_MIN_POOLED", 1)
+
+
+def test_small_batches_take_plain_generators():
+    pool = GeneratorPool()
+    small = list(range(rngpool._MIN_POOLED - 1))
+    got = pool.generators(small)
+    assert not pool._gens            # the pool was never filled
+    assert [_drain(g) for g in got] == \
+        [_drain(np.random.default_rng(s)) for s in small]
+    wide = list(range(rngpool._MIN_POOLED))
+    got = [_drain(g) for g in pool.generators(wide)]
+    assert len(pool._gens) == len(wide)
+    assert got == [_drain(np.random.default_rng(s)) for s in wide]
+
+
+@pytest.mark.usefixtures("pool_every_batch")
 class TestFastSeeding:
     def test_verified_on_this_numpy(self):
         # The arithmetic replica must hold on the pinned toolchain; if

@@ -1,9 +1,12 @@
-"""Tests for serialization/compression tables and shuffle cost functions."""
+"""Tests for serialization/compression tables and the reference shuffle
+cost functions."""
 
 import pytest
 
 from repro.config import Configuration, SPARK_DEFAULTS
-from repro.sparksim import CODECS, SERIALIZERS, shuffle_read, shuffle_write
+from repro.sparksim import CODECS, SERIALIZERS
+
+from .reference import shuffle_read, shuffle_write
 
 
 def _config(**overrides):

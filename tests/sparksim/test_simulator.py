@@ -107,6 +107,27 @@ class TestFailureModes:
         assert "OOM" in r.failure_reason
         assert any(s.failed for s in r.stages)
 
+    def test_oom_reports_working_set_and_execution_memory(self, cluster,
+                                                          simulator):
+        """The OOM message names the task's working set and the per-task
+        execution memory it failed to fit, not a spill volume (which is
+        zero by definition when a task OOMs)."""
+        import re
+
+        pattern = re.compile(r"task working set (\d+)MB cannot fit or spill "
+                             r"within (\d+)MB of executor execution memory")
+        numbers = []
+        for input_mb in (51_200, 204_800):
+            r = simulator.run(Sort(), input_mb, cluster, _config(), seed=1)
+            assert not r.success
+            match = pattern.search(r.failure_reason)
+            assert match, r.failure_reason
+            numbers.append((int(match.group(1)), int(match.group(2))))
+        (small_ws, small_mem), (large_ws, large_mem) = numbers
+        assert small_ws > 0 and small_mem > 0
+        assert large_ws > small_ws > small_mem
+        assert large_mem == small_mem     # same config, same executor memory
+
     def test_failure_penalty_floor(self, cluster, simulator):
         cfg = _config(**{"spark.executor.memory": 65536})
         r = simulator.run(Wordcount(), 1000, cluster, cfg)

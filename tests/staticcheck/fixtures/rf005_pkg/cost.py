@@ -1,13 +1,13 @@
-"""The batch twin forgets the spill leaf the scalar path applies."""
+"""The batch twin forgets the codec leaf the scalar path applies."""
 
-from .leaves import gc_fraction, spill_outcome
+from .leaves import codec_of, gc_fraction
 
 
-def compute_stage_cost(data_mb, budget_mb, occupancy):
-    base = data_mb + spill_outcome(data_mb, budget_mb)
+def compute_stage_cost(data_mb, codec, occupancy):
+    base = data_mb * codec_of(codec)
     return base * (1.0 + gc_fraction(occupancy))
 
 
-def compute_stage_cost_batch(data_mb_list, budget_mb, occupancy):
+def compute_stage_cost_batch(data_mb_list, codec, occupancy):
     factor = 1.0 + gc_fraction(occupancy)
     return [mb * factor for mb in data_mb_list]

@@ -5,5 +5,5 @@ def gc_fraction(occupancy):
     return min(0.3, occupancy * 0.1)
 
 
-def spill_outcome(data_mb, budget_mb):
-    return max(0.0, data_mb - budget_mb)
+def codec_of(codec):
+    return {"lz4": 0.55, "zstd": 0.42}.get(codec, 1.0)

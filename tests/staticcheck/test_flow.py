@@ -174,11 +174,11 @@ def test_rf005_divergent_leaf_sets_flag_the_batch_twin():
     finding = report.result.findings[0]
     assert finding.path == cost
     assert finding.line == 11           # the batch def line
-    assert "scalar-only leaves: spill_outcome" in finding.message
+    assert "scalar-only leaves: codec_of" in finding.message
     # the chain walks the scalar half down to the leaf the batch lost
     assert finding.chain == (
         f"{cost}:7 rf005_pkg.cost.compute_stage_cost -> "
-        f"rf005_pkg.leaves.spill_outcome",
+        f"rf005_pkg.leaves.codec_of",
     )
 
 
