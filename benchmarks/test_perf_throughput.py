@@ -73,9 +73,9 @@ from repro.engine.executors import ParallelExecutor, SerialExecutor
 from repro.sparksim import SparkSimulator
 from repro.sparksim.costmodel import Calibration
 from repro.sparksim.scheduler import (
-    _MIN_VECTOR_SLOTS,
-    _list_schedule,
     _list_schedule_heap,
+    _list_schedule_rows,
+    _row_kernel_wins,
     _sample_durations,
 )
 from repro.tuning import (
@@ -94,9 +94,10 @@ OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_throughput.json"
 CLUSTER = Cluster.of("m5.2xlarge", 6)
 SPACE = spark_core_space()
 
-#: the chosen ``_list_schedule`` path (heap below ``_MIN_VECTOR_SLOTS``
-#: slots, vectorized at or above) may never be this much slower than the
-#: path it rejected — guards the crossover constant against drift
+#: the list-schedule kernel ``_row_kernel_wins`` chooses for a (rows,
+#: slots) block — a heap per row or the row kernel — may never be this
+#: much slower than the one it rejected; guards the crossover against
+#: drift
 MAX_WRONG_PATH_PENALTY = 1.5
 
 #: the saturation target for a multi-core provider host (joint batches
@@ -217,55 +218,46 @@ def _scenario_sim_pair(reps=5):
 
 def _scheduler_microbench():
     rng = np.random.default_rng(0)
-    rows = []
-    for slots in (16, 32, 64, 128, 256):
-        # Durations drawn from the production noise model — the
-        # crossover depends on the duration spread (tight durations give
-        # long safe prefixes), so the microbench must measure the
-        # distribution the simulator actually schedules.
-        d = _sample_durations(5000, 1.0, rng, Calibration())
-        reps = 20
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            heap = _list_schedule_heap(d, slots)
-        t_heap = (time.perf_counter() - t0) / reps
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            vec = _list_schedule(d, slots)
-        t_vec = (time.perf_counter() - t0) / reps
-        assert vec == heap
-        # _list_schedule itself delegates to the heap below the
-        # crossover, so time the vectorized chunk loop directly there.
-        if slots < _MIN_VECTOR_SLOTS:
-            t_chosen, t_other = t_heap, _timed_vectorized(d, slots, reps)
-        else:
-            t_chosen, t_other = t_vec, t_heap
-        rows.append({"slots": slots, "heap_ms": t_heap * 1e3,
-                     "vectorized_ms": t_vec * 1e3,
-                     "speedup": t_heap / t_vec,
-                     "chosen_vs_other": t_chosen / t_other})
-        # The crossover constant must keep choosing a path that is at
-        # worst modestly slower than the alternative at every width.
-        assert t_chosen <= MAX_WRONG_PATH_PENALTY * t_other, (
-            f"_list_schedule chose a path {t_chosen / t_other:.2f}x slower "
-            f"than the alternative at {slots} slots; "
-            f"_MIN_VECTOR_SLOTS={_MIN_VECTOR_SLOTS} needs re-measuring"
-        )
-    return rows
-
-
-def _timed_vectorized(d, slots, reps):
-    """Time the vectorized chunk loop below its crossover cutoff."""
-    import repro.sparksim.scheduler as sched
-    saved = sched._MIN_VECTOR_SLOTS
-    sched._MIN_VECTOR_SLOTS = 0
-    try:
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            _list_schedule(d, slots)
-        return (time.perf_counter() - t0) / reps
-    finally:
-        sched._MIN_VECTOR_SLOTS = saved
+    calib = Calibration()
+    out = []
+    for rows in (1, 8, 50):
+        for slots in (16, 32, 64, 128, 256):
+            # Durations drawn from the production noise model — the
+            # crossover depends on the duration spread (tight durations
+            # give long safe prefixes), so the microbench must measure
+            # the distribution the simulator actually schedules.
+            n = 2000
+            block = np.array([_sample_durations(n, 1.0, rng, calib)
+                              for _ in range(rows)])
+            lengths = [n] * rows
+            reps = max(2, 40 // rows)
+            t0 = time.perf_counter()
+            for _ in range(reps):
+                heap = [_list_schedule_heap(row, slots)
+                        for row in block.tolist()]
+            t_heap = (time.perf_counter() - t0) / reps
+            t0 = time.perf_counter()
+            for _ in range(reps):
+                vec = _list_schedule_rows(block, lengths, slots).tolist()
+            t_rows = (time.perf_counter() - t0) / reps
+            assert vec == heap
+            if _row_kernel_wins(rows, slots):
+                t_chosen, t_other = t_rows, t_heap
+            else:
+                t_chosen, t_other = t_heap, t_rows
+            out.append({"rows": rows, "slots": slots,
+                        "heap_ms": t_heap * 1e3,
+                        "row_kernel_ms": t_rows * 1e3,
+                        "speedup": t_heap / t_rows,
+                        "chosen_vs_other": t_chosen / t_other})
+            # The crossover rule must keep choosing a path that is at
+            # worst modestly slower than the alternative at every shape.
+            assert t_chosen <= MAX_WRONG_PATH_PENALTY * t_other, (
+                f"the list schedule chose a path {t_chosen / t_other:.2f}x "
+                f"slower than the alternative at {rows} rows x {slots} "
+                f"slots; _MIN_VECTOR_SLOTS needs re-measuring"
+            )
+    return out
 
 
 def test_perf_throughput():

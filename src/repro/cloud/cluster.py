@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .instances import InstanceType, get_instance
@@ -61,4 +62,8 @@ class Cluster:
         return self.price_per_hour * runtime_s / 3600.0
 
     def describe(self) -> str:
-        return f"{self.count}x {self.instance.name} ({self.instance.provider})"
+        """``"4x m5.xlarge (aws)"``, interned: every history record of a
+        cluster shares one string object."""
+        return sys.intern(
+            f"{self.count}x {self.instance.name} ({self.instance.provider})"
+        )

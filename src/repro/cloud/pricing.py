@@ -9,11 +9,15 @@ it before re-tuning is needed.
 from __future__ import annotations
 
 import threading
+from array import array
 from dataclasses import dataclass, field
 
 from .cluster import Cluster
 
 __all__ = ["CostLedger", "execution_cost"]
+
+#: charge kinds, in the order the ledger's kind column indexes them
+_KINDS = ("tuning", "production")
 
 
 def execution_cost(cluster: Cluster, runtime_s: float) -> float:
@@ -40,7 +44,11 @@ class CostLedger:
     production_cost: float = 0.0
     production_runs: int = 0
     production_seconds: float = 0.0
-    _history: list[tuple[str, float, float]] = field(default_factory=list)
+    # Per-charge history as columns (17 bytes a charge instead of a
+    # tuple of three boxed objects): the kind as an index into _KINDS.
+    _kinds: array = field(default_factory=lambda: array("b"))
+    _runtimes: array = field(default_factory=lambda: array("d"))
+    _costs: array = field(default_factory=lambda: array("d"))
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False,
     )
@@ -51,7 +59,7 @@ class CostLedger:
             self.tuning_cost += cost
             self.tuning_runs += 1
             self.tuning_seconds += runtime_s
-            self._history.append(("tuning", runtime_s, cost))
+            self._record_locked(0, runtime_s, cost)
         return cost
 
     def charge_production(self, cluster: Cluster, runtime_s: float) -> float:
@@ -60,8 +68,13 @@ class CostLedger:
             self.production_cost += cost
             self.production_runs += 1
             self.production_seconds += runtime_s
-            self._history.append(("production", runtime_s, cost))
+            self._record_locked(1, runtime_s, cost)
         return cost
+
+    def _record_locked(self, kind: int, runtime_s: float, cost: float) -> None:
+        self._kinds.append(kind)
+        self._runtimes.append(runtime_s)
+        self._costs.append(cost)
 
     @property
     def total_cost(self) -> float:
@@ -70,7 +83,8 @@ class CostLedger:
     def history(self) -> list[tuple[str, float, float]]:
         """(kind, runtime_s, cost) per execution, in order."""
         with self._lock:
-            return list(self._history)
+            return [(_KINDS[k], r, c) for k, r, c in
+                    zip(self._kinds, self._runtimes, self._costs)]
 
     def breakeven_runs(self, cost_default_run: float, cost_tuned_run: float) -> float:
         """Production runs needed for tuned-config savings to repay tuning.

@@ -47,14 +47,16 @@ from ..config.space import Configuration
 __all__ = ["ExecutionRecord", "HistoryLog", "readonly_signature"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExecutionRecord:
     """One workload execution as the provider sees it.
 
     Records are immutable log entries: once appended they are shared
     freely with concurrent readers, so every field must stay frozen —
     including the signature array, which the log stores as a read-only
-    copy (see :func:`readonly_signature`).
+    copy (see :func:`readonly_signature`).  The log holds every record
+    for the provider's lifetime, so they carry ``__slots__`` instead of
+    a per-instance ``__dict__``.
     """
 
     record_id: int

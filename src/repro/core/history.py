@@ -78,7 +78,9 @@ class HistoryStore:
         return list(self._log.snapshot())
 
     def for_workload(self, tenant: str, workload_label: str) -> list[ExecutionRecord]:
-        return [r for r in self._log.snapshot() if r.key == (tenant, workload_label)]
+        """One workload's records in log order, from the index's per-key
+        lists rather than a scan of the full log per call."""
+        return self.index().records_for(tenant, workload_label)
 
     def tenants(self) -> list[str]:
         return sorted({r.tenant for r in self._log.snapshot()})

@@ -11,12 +11,16 @@ seconds per lookup on a path the service hits for every tuning session.
 running aggregates maintained **incrementally** against
 :class:`~repro.core.histlog.HistoryLog` versions:
 
-* a per-key buffer of successful-run signatures (capacity-doubled), from
-  which the cached mean is recomputed — with the exact ``np.mean`` the
-  scan path used, so indexed answers are *bit-identical* to naive ones;
+* a per-key list of successful-run signatures (references to the
+  records' own read-only arrays, not copies), from which the cached mean
+  is recomputed — with the exact ``np.mean`` the scan path used, so
+  indexed answers are *bit-identical* to naive ones;
 * per-key success counts, best successful record, and best runtime,
   plus the global best — serving ``best_for``/``best_runtime_overall``
   in O(1)/O(workloads);
+* per-key record lists in log order, serving
+  ``HistoryStore.for_workload`` (the transfer path's per-source read)
+  in O(records of the key) instead of a full-log scan;
 * a key-sorted mean matrix answering top-k similarity with one (W, d)
   distance computation and ``np.argpartition`` instead of a Python loop
   over full-log scans.
@@ -40,7 +44,7 @@ from __future__ import annotations
 
 import threading
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,21 +55,15 @@ __all__ = ["SignatureIndex", "signature_index"]
 
 @dataclass
 class _KeyAggregate:
-    """Running aggregates of one (tenant, label)'s successful runs."""
+    """Running aggregates of one (tenant, label)'s runs."""
 
     row: int
-    sigs: np.ndarray                      # (capacity, d) signature buffer
-    n_success: int = 0
+    #: successful runs' signatures in log order — the records' own
+    #: read-only arrays, so the index holds a reference, not a copy
+    sigs: list[np.ndarray] = field(default_factory=list)
     best: ExecutionRecord | None = None
-
-    def append(self, signature: np.ndarray) -> None:
-        n = self.n_success
-        if n >= len(self.sigs):
-            grown = np.empty((max(8, 2 * len(self.sigs)), self.sigs.shape[1]))
-            grown[:n] = self.sigs[:n]
-            self.sigs = grown
-        self.sigs[n] = signature
-        self.n_success = n + 1
+    #: every record of the key, successful or not, in log order
+    records: list[ExecutionRecord] = field(default_factory=list)
 
 
 class SignatureIndex:
@@ -136,7 +134,8 @@ class SignatureIndex:
         key = record.key
         agg = self._keys.get(key)
         if agg is None:
-            agg = self._add_key_locked(key, record)
+            agg = self._add_key_locked(key)
+        agg.records.append(record)
         if not record.success:
             return
         sig = np.asarray(record.signature, dtype=float)
@@ -148,7 +147,7 @@ class SignatureIndex:
                 f"signature dimension {sig.shape} does not match the "
                 f"log's established ({self._dim},)"
             )
-        agg.append(sig)
+        agg.sigs.append(sig)
         row = agg.row
         self._counts[row] += 1
         self._dirty.add(row)
@@ -161,8 +160,7 @@ class SignatureIndex:
                 record.runtime_s < self._best_overall.runtime_s:
             self._best_overall = record
 
-    def _add_key_locked(self, key: tuple[str, str],
-                        record: ExecutionRecord) -> _KeyAggregate:
+    def _add_key_locked(self, key: tuple[str, str]) -> _KeyAggregate:
         row = len(self._by_row)
         if row >= len(self._counts):
             cap = max(64, 2 * len(self._counts))
@@ -174,9 +172,7 @@ class SignatureIndex:
             counts[:row] = self._counts[:row]
             best[:row] = self._best_runtimes[:row]
             self._means, self._counts, self._best_runtimes = means, counts, best
-        dim = self._dim if self._dim is not None \
-            else np.asarray(record.signature).shape[0]
-        agg = _KeyAggregate(row=row, sigs=np.empty((4, dim)))
+        agg = _KeyAggregate(row=row)
         self._keys[key] = agg
         self._by_row.append(agg)
         self._sorted_keys = None
@@ -188,7 +184,7 @@ class SignatureIndex:
             agg = self._by_row[row]
             # The exact np.mean over the stacked block the scan path
             # computes — bit-identical, not merely close.
-            self._means[row] = np.mean(agg.sigs[:agg.n_success], axis=0)
+            self._means[row] = np.mean(agg.sigs, axis=0)
             self.n_mean_refreshes += 1
         self._dirty.clear()
 
@@ -212,15 +208,23 @@ class SignatureIndex:
         self.sync()
         with self._lock:
             agg = self._keys.get((tenant, workload_label))
-            if agg is None or agg.n_success == 0:
+            if agg is None or not agg.sigs:
                 return None
             if agg.row in self._dirty:
                 self._means[agg.row] = np.mean(
-                    agg.sigs[:agg.n_success], axis=0,
+                    agg.sigs, axis=0,
                 )
                 self._dirty.discard(agg.row)
                 self.n_mean_refreshes += 1
             return self._means[agg.row].copy()
+
+    def records_for(self, tenant: str,
+                    workload_label: str) -> list[ExecutionRecord]:
+        """Every record of one (tenant, label), in log order."""
+        self.sync()
+        with self._lock:
+            agg = self._keys.get((tenant, workload_label))
+            return list(agg.records) if agg is not None else []
 
     def best_for(self, tenant: str, workload_label: str) -> ExecutionRecord | None:
         self.sync()

@@ -5,6 +5,12 @@ scheduling noisy task durations onto the granted executor slots, with a
 heavy-tailed straggler model and optional speculative execution
 (``spark.speculation``) that relaunches outliers at the cost of duplicate
 work — the classic tail-vs-waste trade-off.
+
+:func:`schedule_stage_rows` schedules one stage for many runs at once:
+each run (a *row*) draws its task noise on its own generator, then
+speculation, the list schedule and the task statistics run once along
+axis 1 of a ``(rows, tasks)`` block.  Every row's result is bit-identical
+to scheduling it alone; :func:`schedule_stage` is the one-row case.
 """
 
 from __future__ import annotations
@@ -12,14 +18,15 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .costmodel import Calibration
 from .metrics import TaskMetrics
 
-__all__ = ["StageSchedule", "schedule_stage"]
+__all__ = ["StageSchedule", "schedule_stage", "schedule_stage_rows",
+           "speculation_of"]
 
 
 @dataclass(frozen=True)
@@ -46,239 +53,225 @@ def _sample_durations(n_tasks: int, base_task_s: float, rng: np.random.Generator
     return durations
 
 
+def speculation_of(config: Mapping) -> tuple[float, float] | None:
+    """``(quantile, multiplier)`` when ``spark.speculation`` is on."""
+    if not config.get("spark.speculation", False):
+        return None
+    return (float(config.get("spark.speculation.quantile", 0.75)),
+            float(config.get("spark.speculation.multiplier", 1.5)))
+
+
 def schedule_stage(n_tasks: int, base_task_s: float, slots: int,
                    config: Mapping, rng: np.random.Generator,
                    calib: Calibration | None = None,
                    noise: bool = True) -> StageSchedule:
-    """List-schedule ``n_tasks`` noisy tasks onto ``slots`` slots.
-
-    The stage's task noise is drawn from ``rng``, the run's single noise
-    stream, so the draw order is part of the simulator's bit-identity
-    contract.  Medians and quantiles come from the partition kernels
-    below, bit-identical to ``np.median``/``np.quantile`` at a fraction
-    of their per-call dispatch.
-    """
-    if calib is None:
-        calib = Calibration()
+    """List-schedule ``n_tasks`` noisy tasks onto ``slots`` slots."""
     if n_tasks < 1:
         raise ValueError("n_tasks must be >= 1")
     if slots < 1:
         raise ValueError("slots must be >= 1")
     if base_task_s < 0:
         raise ValueError("base_task_s must be non-negative")
+    rows = schedule_stage_rows(n_tasks, [base_task_s], slots,
+                               speculation_of(config), [rng],
+                               calib or Calibration(), noise)
+    return StageSchedule(*(column[0] for column in rows))
 
+
+def schedule_stage_rows(
+        n_tasks: int, base_task_s: Sequence[float], slots: int,
+        speculation: tuple[float, float] | None,
+        rngs: Sequence[np.random.Generator], calib: Calibration,
+        noise: bool) -> tuple[list[float], list[TaskMetrics], list[int],
+                              list[float]]:
+    """Schedule one stage for every row: ``(makespans, task metrics,
+    speculated tasks, wasted task seconds)``, one entry per row.
+
+    Row ``r`` runs ``n_tasks`` tasks of base cost ``base_task_s[r]`` on
+    ``slots`` slots and draws its noise from ``rngs[r]`` alone, in the
+    order a lone run draws it, so no row's stream depends on its
+    neighbours.  The medians and quantiles come from
+    :func:`_median_quantile_rows`, bit-identical to ``np.median`` and
+    ``np.quantile`` on each row.
+    """
+    rows = len(base_task_s)
     if noise:
-        durations = _sample_durations(n_tasks, base_task_s, rng, calib)
+        block = np.concatenate([
+            _sample_durations(n_tasks, base, rng, calib)
+            for base, rng in zip(base_task_s, rngs)
+        ]).reshape(rows, n_tasks)
     else:
-        durations = np.full(n_tasks, base_task_s)
-
-    speculated, wasted = 0, 0.0
-    if noise and n_tasks >= 4 and config.get("spark.speculation", False):
+        block = np.repeat(np.array(base_task_s, dtype=float)[:, None],
+                          n_tasks, axis=1)
+    speculated, wasted = [0] * rows, [0.0] * rows
+    if noise and n_tasks >= 4 and speculation is not None:
         # Speculation only monitors once `quantile` of tasks completed;
         # tasks below that completion point are never candidates.
-        median, cutoff = _median_quantile_1d(
-            durations, float(config.get("spark.speculation.quantile", 0.75)),
-        )
-        multiplier = float(config.get("spark.speculation.multiplier", 1.5))
-        threshold = median * max(1.01, multiplier)
-        candidates = durations > max(threshold, cutoff)
-        speculated = int(candidates.sum())
-        if speculated:
+        quantile, multiplier = speculation
+        median, cutoff, _ = _median_quantile_rows(block, quantile)
+        threshold = [m * max(1.01, multiplier) for m in median]
+        candidates = block > np.array(
+            [max(t, c) for t, c in zip(threshold, cutoff)])[:, None]
+        n_spec = candidates.sum(axis=1).tolist()
+        if any(n_spec):
             # The speculative copy starts at the threshold and runs a
             # fresh median duration; the task finishes at whichever copy
             # is first.
-            clamped = durations.copy()
-            clamped[candidates] = np.minimum(
-                clamped[candidates], threshold + median,
-            )
-            wasted = float(speculated * median)  # duplicate occupancy
-            # Duplicate copies occupy slots: model as extra tasks of
-            # median size.
-            extra = np.full(speculated, _median_1d(clamped) * 0.5)
-            durations = np.concatenate([clamped, extra])
-
-    makespan = _list_schedule(durations, slots)
-    real = durations[:n_tasks]
-    p50, p95 = _median_quantile_1d(real, 0.95)
-    metrics = TaskMetrics(
-        count=n_tasks,
-        mean_s=float(real.sum() / real.size),
-        p50_s=p50,
-        p95_s=p95,
-        max_s=float(real.max()),
-    )
-    return StageSchedule(
-        makespan_s=makespan,
-        task_metrics=metrics,
-        speculated_tasks=speculated,
-        wasted_task_seconds=wasted,
-    )
+            block = np.where(candidates, np.minimum(block, np.array(
+                [t + m for t, m in zip(threshold, median)])[:, None]), block)
+            speculated = n_spec
+            # duplicate occupancy
+            wasted = [k * m for k, m in zip(n_spec, median)]
+    p50, p95, top = _median_quantile_rows(block, 0.95)
+    metrics = [
+        TaskMetrics(count=n_tasks, mean_s=total / n_tasks, p50_s=p50_s,
+                    p95_s=p95_s, max_s=max_s)
+        for total, p50_s, p95_s, max_s in zip(
+            block.sum(axis=1).tolist(), p50, p95, top)
+    ]
+    lengths = None      # every row runs exactly n_tasks tasks
+    if any(speculated):
+        # Duplicate copies occupy slots: model them as extra tasks of
+        # half the clamped median, after a row's real tasks and padded
+        # to a block with +inf.
+        width = max(speculated)
+        block = np.concatenate([block, np.array([
+            [m * 0.5] * k + [np.inf] * (width - k)
+            for m, k in zip(p50, speculated)
+        ])], axis=1)
+        lengths = [n_tasks + k for k in speculated]
+    return _makespans(block, lengths, slots), metrics, speculated, wasted
 
 
-def _list_schedule_heap(durations: np.ndarray, slots: int) -> float:
+def _list_schedule_heap(durations: Sequence[float], slots: int) -> float:
     """Greedy earliest-available-slot assignment (what Spark's FIFO does).
 
-    The production path below :data:`_MIN_VECTOR_SLOTS` slots, and the
-    oracle for the equivalence property test of :func:`_list_schedule`.
+    The production path for narrow blocks (see :func:`_row_kernel_wins`)
+    and the oracle of the property tests of :func:`_list_schedule_rows`.
+    It takes one row as Python floats (``ndarray.tolist()``), so the loop
+    below runs without per-element numpy-scalar unboxing.
     """
-    n = len(durations)
-    if n <= slots:
-        return float(durations.max())
+    if len(durations) <= slots:
+        return float(max(durations))
     # [0.0] * slots is already a valid heap; peek + heapreplace is one C
-    # call per task instead of a pop/push pair, and iterating the
-    # ``tolist()`` floats skips per-element numpy-scalar unboxing.  The
-    # slot multiset evolves identically either way (each step removes
-    # the minimum value and inserts minimum + d), so the final makespan
-    # is bit-identical.
+    # call per task instead of a pop/push pair.  The slot multiset
+    # evolves identically either way (each step removes the minimum
+    # value and inserts minimum + d), so the final makespan is
+    # bit-identical.
     heap = [0.0] * slots
     heapreplace = heapq.heapreplace
-    for d in durations.tolist():
+    for d in durations:
         heapreplace(heap, heap[0] + d)
-    return max(heap)
+    return float(max(heap))
 
 
-#: below this many slots the numpy chunk bookkeeping costs more than the
-#: plain heap loop it replaces.  The crossover is measured by the
-#: scheduler microbench (BENCH_throughput.json) on durations drawn from
-#: the production noise model (``_sample_durations`` at the default
-#: calibration): parity at 48 slots, vectorized ~1.35x/2.8x/5x faster
-#: at 64/128/256, heap ~1.4x faster at 32.  Wider duration spreads
-#: shorten the safe prefix and move the crossover up — the microbench
-#: asserts the chosen path is never >1.5x slower than the rejected one.
-_MIN_VECTOR_SLOTS = 48
+#: the row kernel's fixed numpy cost per chunk beats the plain heap loop
+#: over every row from this many slots for one row, and from twice as
+#: many ``rows x slots`` cells for a block of rows.  Measured by the
+#: scheduler microbench (``benchmarks/test_perf_throughput.py``) on
+#: durations drawn from the production noise model: one row breaks even
+#: at 128 slots and runs 2x faster at 256, while the break-even block
+#: grows from about 130 cells at 2 rows to about 250 at 50 rows.  The
+#: microbench asserts the chosen path is never >1.5x slower than the
+#: rejected one.
+_MIN_VECTOR_SLOTS = 128
 
-#: chunks shorter than this are processed with the heap (numpy call
-#: overhead dominates tiny chunks)
-_MIN_CHUNK = 8
+
+def _row_kernel_wins(rows: int, slots: int) -> bool:
+    """Whether :func:`_list_schedule_rows` beats a heap per row here."""
+    return slots >= _MIN_VECTOR_SLOTS or rows * slots >= 2 * _MIN_VECTOR_SLOTS
+
+
+def _makespans(block: np.ndarray, lengths: list[int] | None,
+               slots: int) -> list[float]:
+    """Each row's makespan, on the kernel that is faster at this shape.
+
+    ``lengths`` gives each row's task count; ``None`` means every row is
+    full width.
+    """
+    if lengths is None:
+        lengths = [block.shape[1]] * len(block)
+    if _row_kernel_wins(len(block), slots):
+        return _list_schedule_rows(block, lengths, slots).tolist()
+    return [_list_schedule_heap(row[:n], slots)
+            for row, n in zip(block.tolist(), lengths)]
 
 
 def _list_schedule(durations: np.ndarray, slots: int) -> float:
-    """Exact chunked/vectorized equivalent of :func:`_list_schedule_heap`.
-
-    The greedy schedule pops the minimum slot time once per task — a
-    Python-level loop that dominates simulator time at high
-    ``spark.default.parallelism``.  This version assigns tasks in chunks:
-    with slot times sorted ascending, the next ``m`` pops are exactly
-    ``times[0..m-1]`` (in order) as long as no finish pushed during the
-    chunk undercuts a later pop, i.e. while
-    ``times[j] <= min_{i<j}(times[i] + d_i)``.  The longest such prefix
-    is found with one vectorized prefix-min, the whole chunk is assigned
-    with one vectorized add, and the slot array is re-sorted.  Stragglers
-    merely shorten the chunk (their slot stays un-popped at the tail);
-    degenerate chunks fall back to the heap loop, so the result is
-    bit-identical to the reference for every input.
-    """
-    n = len(durations)
-    if n <= slots:
-        return float(durations.max())
+    """One row's makespan on the kernel :func:`schedule_stage_rows` picks."""
     durations = np.asarray(durations, dtype=float)
-    if slots < _MIN_VECTOR_SLOTS:
-        return _list_schedule_heap(durations, slots)
-    times = np.zeros(slots)  # slot available-times, kept sorted ascending
-    pos = 0
-    # Fast-rounds prologue: while every chunk is a full round of exactly
-    # ``slots`` tasks and the safety test passes, the per-round work is
-    # just an in-place add and re-sort.  All round minima come from one
-    # (rounds, slots) reduction, and the reshape pins chunk boundaries —
-    # the first unsafe round breaks to the general loop below, which
-    # re-derives boundaries from ``pos`` and never returns here.
-    rounds = n // slots
-    if rounds >= 2:
-        mat = durations[: rounds * slots].reshape(rounds, slots)
-        mins = mat.min(axis=1).tolist()
-        last = slots - 1
-        r = 0
-        while r < rounds and times[last] - times[0] <= mins[r]:
-            np.add(times, mat[r], out=times)
-            times.sort()
-            r += 1
-        pos = r * slots
-    while pos < n:
-        k = min(slots, n - pos)
-        chunk = durations[pos:pos + k]
-        cmin = chunk.min()
-        # Fast test first: when the chunk's shortest task covers the slot
-        # spread, every pop is safe (times[j] <= times[0] + min d <=
-        # times[i] + d_i for all i < j) — the common case for the tight
-        # task-noise distributions the simulator draws.
-        if times[k - 1] - times[0] <= cmin:
-            m = k
-        else:
-            # Slots at or below times[0] + cmin can only be popped before
-            # any in-chunk finish lands (every push is >= times[0] + cmin),
-            # so the first such-prefix pops are exactly times[:m] in order.
-            # Straggler-inflated slots sit past the cut and stay parked —
-            # one binary search instead of a prefix-min scan per chunk.
-            m = min(int(np.searchsorted(times, times[0] + cmin, "right")), k)
-        if m >= _MIN_CHUNK:
-            # The m popped slots finish at times[:m] + chunk[:m]; adding
-            # in place and re-sorting realizes the new multiset.
-            np.add(times[:m], chunk[:m], out=times[:m])
-            times.sort()
-        else:
-            m = min(k, _MIN_CHUNK)
-            heap = times.tolist()
-            heapq.heapify(heap)
-            heapreplace = heapq.heapreplace
-            for d in chunk[:m].tolist():
-                heapreplace(heap, heap[0] + d)
-            times = np.sort(heap)
-        pos += m
-    return float(times[-1])
+    return _makespans(durations[None], None, slots)[0]
 
 
-def _median_1d(x: np.ndarray) -> float:
-    """``float(np.median(x))`` for 1-D float arrays, minus the dispatch.
+def _list_schedule_rows(block: np.ndarray, lengths: Sequence[int],
+                        slots: int) -> np.ndarray:
+    """Exact cross-row equivalent of :func:`_list_schedule_heap`.
 
-    ``np.median`` spends most of its time in ``_ureduce`` axis machinery
-    — dozens of microseconds per call on the tiny per-stage arrays the
-    simulator reduces.  Selecting the middle element(s) with a direct
-    ``np.partition`` is bit-identical (numpy's own implementation does
-    exactly this before averaging) at a fraction of the overhead.
+    Row ``r`` list-schedules ``block[r, :lengths[r]]`` (the rest is
+    ``+inf`` padding).  The heap pops the minimum slot time once per
+    task; here every row assigns a whole chunk per step instead.  With
+    a row's slot times sorted ascending, its next ``m`` pops are exactly
+    ``times[:m]`` in order while no finish pushed during the chunk
+    undercuts a later pop.  Every push is at least ``times[0] + cmin``
+    (``cmin`` the chunk's shortest task), and rounding is monotone, so
+    the slots with ``times[j] <= times[0] + cmin`` are such a prefix —
+    at least one slot, since durations are non-negative.  Each step
+    adds ``chunk[:m]`` into ``times[:m]``, re-sorts the row and advances
+    it by its own ``m``: the result is bit-identical to the heap for
+    every row.  Straggler-inflated slots sit past the cut and stay
+    parked until the rest catch up.
     """
-    n = x.size
-    h = n // 2
-    part = x.copy()
-    if n % 2:
-        part.partition(h)
-        return float(part[h])
-    part.partition((h - 1, h))
-    return float((part[h - 1] + part[h]) / 2.0)
+    rows, width = block.shape
+    stride = width + slots
+    padded = np.full((rows, stride), np.inf)
+    padded[:, :width] = block
+    flat = padded.ravel()
+    at = np.arange(0, rows * stride, stride)  # each row's next task
+    left = np.array(lengths, dtype=np.int64)  # each row's unplaced tasks
+    times = np.zeros((rows, slots))  # slot available-times, sorted per row
+    cols = np.arange(slots)
+    while left.any():
+        # Past a row's length its chunk is +inf padding, so ``cmin`` is
+        # the shortest real task and a finished row takes m = 0.
+        chunk = flat.take(at[:, None] + cols)
+        bound = times[:, :1] + chunk.min(axis=1, keepdims=True)
+        m = np.minimum((times <= bound).sum(axis=1), left)
+        times += np.where(cols < m[:, None], chunk, 0.0)
+        times.sort(axis=1)
+        at += m
+        left -= m
+    return times[:, -1]
 
 
-def _median_quantile_1d(x: np.ndarray, q: float) -> tuple[float, float]:
-    """``(np.median(x), np.quantile(x, q))`` from one shared partition.
+def _median_quantile_rows(
+        x: np.ndarray,
+        q: float) -> tuple[list[float], list[float], list[float]]:
+    """Per-row ``(np.median, np.quantile(., q), max)`` from one sort.
 
-    ``np.partition`` with several kth indices places the sorted-order
-    element at every requested position, so the median and quantile read
-    the exact values the separate calls would — one array copy and one
-    selection pass instead of two.  The quantile replicates numpy's
-    linear-method virtual index and lerp, including the ``gamma >= 0.5``
-    symmetric-lerp branch, so it is bit-identical to ``np.quantile``.
+    A row sort places every order statistic where the median, the
+    quantile and the maximum read it, so all three come from one
+    ``np.sort`` along axis 1 — cheaper than ``np.partition`` with several
+    kth indices, and far cheaper than the ``_ureduce`` dispatch of the
+    numpy functions.  The quantile replicates numpy's linear-method
+    virtual index and lerp, including the ``gamma >= 0.5`` symmetric-lerp
+    branch, in Python floats (the same IEEE operations), so each row is
+    bit-identical to ``np.median``/``np.quantile``.
     """
-    n = x.size
+    n = x.shape[1]
     h = n // 2
     vi = q * (n - 1)
     at_end = vi >= n - 1
-    if at_end:
-        lo = n - 1
-        q_kth = (n - 1,)
-    else:
-        lo = math.floor(vi)
-        q_kth = (lo, lo + 1)
-    part = x.copy()
-    if n % 2:
-        part.partition((h,) + q_kth)
-        median = float(part[h])
-    else:
-        part.partition((h - 1, h) + q_kth)
-        median = float((part[h - 1] + part[h]) / 2.0)
-    if at_end:
-        return median, float(part[n - 1])
+    lo = n - 1 if at_end else math.floor(vi)
     g = vi - lo
-    a = part[lo]
-    b = part[lo + 1]
-    diff = b - a
+    srt = x.copy()  # the ndarray method skips np.sort's dispatch
+    srt.sort(axis=1)
+    mid_lo, mid_hi, a, b, top = srt.take(
+        (h - 1 + n % 2, h, lo, min(lo + 1, n - 1), n - 1), axis=1,
+    ).T.tolist()
+    medians = mid_hi if n % 2 else [
+        (u + v) / 2.0 for u, v in zip(mid_lo, mid_hi)]
+    if at_end:
+        return medians, a, top
     if g >= 0.5:
-        return median, float(b - diff * (1 - g))
-    return median, float(a + diff * g)
+        return medians, [v - (v - u) * (1 - g) for u, v in zip(a, b)], top
+    return medians, [u + (v - u) * g for u, v in zip(a, b)], top

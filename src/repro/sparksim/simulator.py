@@ -29,15 +29,20 @@ handles a single candidate as a batch of one:
   in one fused ``(stages, candidates)`` numpy sweep
   (:func:`~repro.sparksim.costmodel.compute_plan_cost_batch` over cached
   :class:`~repro.sparksim.costmodel.PlanArrays`);
-* one **scheduling walk** per candidate over its stages in plan order
-  (:func:`~repro.sparksim.scheduler.schedule_stage`), on the candidate's
-  own noise generator, pre-seeded by one vectorized sweep
-  (:mod:`repro.sparksim.rngpool`).  Injected faults act inside this
-  walk.
+* one **stage-outer scheduling walk**: each stage runs once for every
+  live candidate, grouped into rectangular ``(candidates, tasks)``
+  blocks by ``(n_tasks, slots, speculation params)``
+  (:func:`~repro.sparksim.scheduler.schedule_stage_rows`).  Each
+  candidate draws its task noise on its own generator, pre-seeded by
+  one vectorized sweep (:mod:`repro.sparksim.rngpool`); speculation,
+  the list schedule and the task statistics run along axis 1 of the
+  block.  Injected faults are per-candidate masks on this walk.
 
-Results depend only on each candidate's (config, env, seed): a batch
-equals the same candidates run one at a time, in any order.  The test
-suite pins every field against a readable scalar reference model.
+Results depend only on each candidate's (config, env, seed): every
+generator sees its own stages in plan order whatever the walk's order
+across candidates, so a batch equals the same candidates run one at a
+time, in any order.  The test suite pins every field against a
+readable scalar reference model.
 """
 
 from __future__ import annotations
@@ -62,7 +67,7 @@ from .executor import ExecutorModel
 from .faults import NO_FAULTS, FaultPlan
 from .metrics import ExecutionResult, StageMetrics
 from .rngpool import GeneratorPool
-from .scheduler import schedule_stage
+from .scheduler import schedule_stage_rows, speculation_of
 
 if TYPE_CHECKING:
     from ..config.constraints import ResourceGrant
@@ -262,10 +267,12 @@ class SparkSimulator:
            before any noise draw.
         2. Cost every granted candidate in one fused ``(stages,
            candidates)`` sweep of :func:`compute_plan_cost_batch`.
-        3. Walk each granted candidate's stages in plan order on its own
-           noise generator.  Injected ``oom_kill``, ``straggler`` and
-           ``executor_loss`` faults strike at their stage ordinal, which
-           is the plan row; lost executors shrink later stages' slots.
+        3. Walk the stages in plan order, each for every live candidate
+           at once, on each candidate's own noise generator.  Injected
+           ``oom_kill``, ``straggler`` and ``executor_loss`` faults
+           strike at their stage ordinal, which is the plan row: an
+           OOM'd row leaves the walk, and lost executors shrink the
+           row's slots for later stages.
         """
         calib = self.calibration
         results: list[ExecutionResult | None] = [None] * len(configs)
@@ -332,116 +339,129 @@ class SparkSimulator:
         sigma = calib.run_noise_sigma
         job_submit_s = calib.job_submit_s
 
-        for k, i in enumerate(granted):
-            config = cfgs[k]
-            rng = rngs[k]
-            faults = draws[k]
-            env = run_envs[k]
-            injected = list(_spike_tags(faults))
-            executors = execs_l[k]
-            slots = slots_l[k]
-            runtime = startup_l[k]
-            stages: list[StageMetrics] = []
-            for s in range(plan.n_stages):
+        # Per-row walk state; row k is granted candidate k.
+        runtime = startup_l
+        injected = [list(_spike_tags(faults)) for faults in draws]
+        stages: list[list[StageMetrics]] = [[] for _ in granted]
+        speculation = [speculation_of(c) for c in cfgs]
+        live: Sequence[int] = range(len(granted))
+        for s in range(plan.n_stages):
+            # Rows that run stage s, grouped into rectangular blocks.
+            groups: dict[tuple, list[int]] = {}
+            for k in live:
                 for _ in range(submits[s]):
-                    runtime += job_submit_s
-                n_tasks = ntasks_ll[s][k]
-                killed = s == faults.oom_stage
-                if killed or oom_ll[s][k]:
-                    # Retries then application abort: an injected container
-                    # kill has the same expensive crash shape as a real OOM.
-                    wasted = total_ll[s][k] * _MAX_ATTEMPTS + driver_ll[s][k]
-                    runtime += wasted
-                    stages.append(StageMetrics(
-                        stage_id=stage_ids[s], name=names[s],
-                        num_tasks=n_tasks, duration_s=wasted,
-                        input_mb=plan.input_mb_l[s],
-                        cached_read_mb=plan.cached_read_mb_l[s],
-                        shuffle_read_mb=plan.shuffle_read_mb_l[s],
-                        shuffle_write_mb=plan.shuffle_write_mb_l[s],
-                        spill_mb=0.0, cpu_time_s=0.0, gc_time_s=0.0,
-                        io_time_s=0.0, net_time_s=0.0, failed=True,
-                    ))
-                    if killed:
-                        injected.append(f"oom_kill:stage{s}")
-                        reason = (
-                            f"fault-injected OOM kill in stage "
-                            f"{stage_ids[s]} ({names[s]})"
-                        )
-                    else:
-                        reason = _oom_reason(
-                            stage_ids[s], names[s],
-                            float(cost.working_set_mb[s, k]),
-                            float(cost.execution_mb[s, k]),
-                        )
-                    results[i] = ExecutionResult(
-                        workload=compiled.name, input_mb=compiled.input_mb,
-                        runtime_s=runtime, success=False, stages=stages,
-                        executors_granted=executors,
-                        executors_requested=req_l[k],
-                        total_slots=slots,
-                        failure_reason=reason,
-                        environment_factor=env.combined(),
-                        faults_injected=tuple(injected),
-                    )
-                    break
-
-                schedule = schedule_stage(n_tasks, total_ll[s][k], slots,
-                                          config, rng, calib=calib,
-                                          noise=noise)
-                makespan = schedule.makespan_s
-                if s == faults.straggler_stage:
-                    makespan *= faults.straggler_factor
-                    injected.append(
-                        f"straggler:stage{s}:x{faults.straggler_factor:g}"
-                    )
-                if s == faults.loss_stage and faults.loss_fraction > 0.0:
-                    # In-flight work on the lost executors re-runs, and every
-                    # later stage schedules onto the surviving slots only.
-                    makespan += schedule.makespan_s * faults.loss_fraction
-                    lost = min(
-                        executors - 1,
-                        max(1, round(executors * faults.loss_fraction)),
-                    )
-                    if lost > 0:
-                        slots = max(1, (executors - lost) * concurrent_l[k])
-                    injected.append(f"executor_loss:stage{s}:{lost}")
-                elapsed = makespan + driver_ll[s][k]
-                runtime += elapsed
-                stages.append(StageMetrics(
-                    stage_id=stage_ids[s],
-                    name=names[s],
-                    num_tasks=n_tasks,
-                    duration_s=elapsed,
+                    runtime[k] += job_submit_s
+                killed = s == draws[k].oom_stage
+                if not (killed or oom_ll[s][k]):
+                    groups.setdefault(
+                        (ntasks_ll[s][k], slots_l[k], speculation[k]), [],
+                    ).append(k)
+                    continue
+                # Retries then application abort: an injected container
+                # kill has the same expensive crash shape as a real OOM.
+                # The row leaves the walk.
+                wasted = total_ll[s][k] * _MAX_ATTEMPTS + driver_ll[s][k]
+                runtime[k] += wasted
+                stages[k].append(StageMetrics(
+                    stage_id=stage_ids[s], name=names[s],
+                    num_tasks=ntasks_ll[s][k], duration_s=wasted,
                     input_mb=plan.input_mb_l[s],
                     cached_read_mb=plan.cached_read_mb_l[s],
                     shuffle_read_mb=plan.shuffle_read_mb_l[s],
                     shuffle_write_mb=plan.shuffle_write_mb_l[s],
-                    spill_mb=spill_ll[s][k],
-                    cpu_time_s=cpu_ll[s][k] * n_tasks,
-                    gc_time_s=gc_ll[s][k] * n_tasks,
-                    io_time_s=disk_ll[s][k] * n_tasks,
-                    net_time_s=net_ll[s][k] * n_tasks,
-                    task_metrics=schedule.task_metrics,
-                    output_mb=plan.out_mb[s],
-                    writes_output=plan.writes_output[s],
+                    spill_mb=0.0, cpu_time_s=0.0, gc_time_s=0.0,
+                    io_time_s=0.0, net_time_s=0.0, failed=True,
                 ))
-            else:  # every stage ran: the application succeeded
-                for _ in range(plan.trailing_job_submits):
-                    runtime += job_submit_s
-                if noise:
-                    runtime *= float(
-                        rng.lognormal(mean=-0.5 * sigma**2, sigma=sigma)
+                if killed:
+                    injected[k].append(f"oom_kill:stage{s}")
+                    reason = (
+                        f"fault-injected OOM kill in stage "
+                        f"{stage_ids[s]} ({names[s]})"
                     )
-                results[i] = ExecutionResult(
+                else:
+                    reason = _oom_reason(
+                        stage_ids[s], names[s],
+                        float(cost.working_set_mb[s, k]),
+                        float(cost.execution_mb[s, k]),
+                    )
+                results[granted[k]] = ExecutionResult(
                     workload=compiled.name, input_mb=compiled.input_mb,
-                    runtime_s=runtime, success=True, stages=stages,
-                    executors_granted=executors,
+                    runtime_s=runtime[k], success=False, stages=stages[k],
+                    executors_granted=execs_l[k],
                     executors_requested=req_l[k],
-                    total_slots=slots,
-                    environment_factor=env.combined(),
-                    faults_injected=tuple(injected),
+                    total_slots=slots_l[k],
+                    failure_reason=reason,
+                    environment_factor=run_envs[k].combined(),
+                    faults_injected=tuple(injected[k]),
                 )
+            live = [k for ks in groups.values() for k in ks]
+
+            for (n_tasks, slots, spec), ks in groups.items():
+                makespans, task_metrics, _, _ = schedule_stage_rows(
+                    n_tasks, [total_ll[s][k] for k in ks], slots, spec,
+                    [rngs[k] for k in ks], calib, noise,
+                )
+                for k, schedule_s, metrics in zip(ks, makespans,
+                                                  task_metrics):
+                    faults = draws[k]
+                    makespan = schedule_s
+                    if s == faults.straggler_stage:
+                        makespan *= faults.straggler_factor
+                        injected[k].append(
+                            f"straggler:stage{s}:x{faults.straggler_factor:g}"
+                        )
+                    if s == faults.loss_stage and faults.loss_fraction > 0.0:
+                        # In-flight work on the lost executors re-runs, and
+                        # every later stage schedules onto the surviving
+                        # slots only.
+                        makespan += schedule_s * faults.loss_fraction
+                        executors = execs_l[k]
+                        lost = min(
+                            executors - 1,
+                            max(1, round(executors * faults.loss_fraction)),
+                        )
+                        if lost > 0:
+                            slots_l[k] = max(
+                                1, (executors - lost) * concurrent_l[k],
+                            )
+                        injected[k].append(f"executor_loss:stage{s}:{lost}")
+                    elapsed = makespan + driver_ll[s][k]
+                    runtime[k] += elapsed
+                    stages[k].append(StageMetrics(
+                        stage_id=stage_ids[s],
+                        name=names[s],
+                        num_tasks=n_tasks,
+                        duration_s=elapsed,
+                        input_mb=plan.input_mb_l[s],
+                        cached_read_mb=plan.cached_read_mb_l[s],
+                        shuffle_read_mb=plan.shuffle_read_mb_l[s],
+                        shuffle_write_mb=plan.shuffle_write_mb_l[s],
+                        spill_mb=spill_ll[s][k],
+                        cpu_time_s=cpu_ll[s][k] * n_tasks,
+                        gc_time_s=gc_ll[s][k] * n_tasks,
+                        io_time_s=disk_ll[s][k] * n_tasks,
+                        net_time_s=net_ll[s][k] * n_tasks,
+                        task_metrics=metrics,
+                        output_mb=plan.out_mb[s],
+                        writes_output=plan.writes_output[s],
+                    ))
+
+        for k in live:  # every stage ran: the application succeeded
+            for _ in range(plan.trailing_job_submits):
+                runtime[k] += job_submit_s
+            if noise:
+                runtime[k] *= float(
+                    rngs[k].lognormal(mean=-0.5 * sigma**2, sigma=sigma)
+                )
+            results[granted[k]] = ExecutionResult(
+                workload=compiled.name, input_mb=compiled.input_mb,
+                runtime_s=runtime[k], success=True, stages=stages[k],
+                executors_granted=execs_l[k],
+                executors_requested=req_l[k],
+                total_slots=slots_l[k],
+                environment_factor=run_envs[k].combined(),
+                faults_injected=tuple(injected[k]),
+            )
         # every index is either rejected at screening or walked above
         return results  # type: ignore[return-value]
 

@@ -644,10 +644,10 @@ class ExceptionFlowRule(FlowRule):
 #: by basename; a ``_batch`` suffix is stripped before comparison so the
 #: vectorized twin of a leaf counts as the same leaf.
 _LEAF_NAMES = frozenset({
-    "compute_plan_cost_batch", "schedule_stage",
+    "compute_plan_cost_batch", "schedule_stage_rows",
     "gc_fraction", "serializer_of", "codec_of",
     "grant_resources", "_sample_durations",
-    "_list_schedule", "_median_1d", "_median_quantile_1d",
+    "_list_schedule_heap", "_list_schedule_rows", "_median_quantile_rows",
 })
 
 

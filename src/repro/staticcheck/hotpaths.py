@@ -57,10 +57,14 @@ HOT_PATHS: tuple[HotPath, ...] = (
             "sparksim.costmodel.build_batch_inputs",
             "sparksim.costmodel.build_plan_arrays",
             "sparksim.costmodel.compute_plan_cost_batch",
+            "sparksim.scheduler.schedule_stage_rows",
+            "sparksim.scheduler._list_schedule_rows",
+            "sparksim.scheduler._median_quantile_rows",
         ),
         reason="PhaseProfiler 'evaluate': the (S, N) joint "
                "stage-candidate cost sweep behind the >=50k evals/s "
-               "target",
+               "target, and the stage-outer scheduling walk's "
+               "(rows, tasks) kernels",
     ),
     HotPath(
         phase="similarity",

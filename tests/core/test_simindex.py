@@ -89,6 +89,38 @@ class TestAggregateIdentity:
         )
         assert store.index().best_runtime_excluding(exclude) == naive
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(_record, min_size=0, max_size=60), st.integers(1, 7))
+    def test_for_workload_matches_scan(self, records, query_every):
+        """The per-key lists equal the full-log scan, in log order, with
+        queries interleaved between appends, seals and compactions."""
+        log = HistoryLog(segment_records=5, compact_after=2)
+        store = HistoryStore(log)
+
+        def check():
+            snap = store.all()
+            for key in [(f"t{t}", f"w{w}") for t in range(4) for w in range(3)]:
+                scanned = [r for r in snap if r.key == key]
+                indexed = store.for_workload(*key)
+                assert len(indexed) == len(scanned)
+                assert all(a is b for a, b in zip(indexed, scanned))
+
+        for i, (tenant, label, runtime, success, sig, compact) in \
+                enumerate(records):
+            log.append_new(
+                tenant=f"t{tenant}", workload_label=f"w{label}",
+                input_mb=100.0, cluster="c", config=Configuration({}),
+                runtime_s=float(runtime), success=success,
+                signature=np.asarray(sig, dtype=float),
+            )
+            if compact:
+                log.compact()
+            if i % query_every == 0:
+                check()
+        check()
+        store.index().rebuild()
+        check()
+
     @settings(max_examples=25, deadline=None)
     @given(st.lists(_record, min_size=0, max_size=50))
     def test_incremental_equals_rebuild(self, records):

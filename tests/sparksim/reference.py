@@ -1,9 +1,11 @@
 """Scalar reference model of the simulator: the readable oracle.
 
 The simulator runs one path: a fused ``(stages, candidates)`` cost
-program followed by a per-candidate scheduling walk.  This module keeps
-the same model in its plain form, one stage and one candidate at a time,
-with ``np.median``/``np.quantile`` in the scheduler:
+program followed by a stage-outer scheduling walk over all candidates.
+This module keeps the same model in its plain form, one stage and one
+candidate at a time, with ``np.median``/``np.quantile`` and the plain
+heap list schedule (``_list_schedule_heap``) in the scheduler, so it
+shares no row kernel with the code it checks:
 
 * :func:`compute_stage_cost` with its helpers (:func:`resolve_num_tasks`,
   :func:`shuffle_read`, :func:`shuffle_write`, :func:`spill_outcome`);
@@ -33,7 +35,7 @@ from repro.sparksim.memory import CachePlan, gc_fraction, plan_cache
 from repro.sparksim.metrics import ExecutionResult, StageMetrics, TaskMetrics
 from repro.sparksim.scheduler import (
     StageSchedule,
-    _list_schedule,
+    _list_schedule_heap,
     _sample_durations,
 )
 from repro.sparksim.shuffle import codec_of, serializer_of
@@ -430,7 +432,7 @@ def schedule_stage(n_tasks: int, base_task_s: float, slots: int,
             extra = np.full(speculated, float(np.median(durations)) * 0.5)
             durations = np.concatenate([durations, extra])
 
-    makespan = _list_schedule(durations, slots)
+    makespan = _list_schedule_heap(durations.tolist(), slots)
     real = durations[:n_tasks]
     metrics = TaskMetrics(
         count=n_tasks,

@@ -1,7 +1,7 @@
 """Property tests: the simulator is bit-identical to the scalar reference.
 
 The simulator's one path (plan cache, fused ``(stages, candidates)``
-cost program, per-candidate scheduling walk) is an optimisation, not an
+cost program, stage-outer scheduling walk) is an optimisation, not an
 approximation: every :class:`ExecutionResult` it produces must equal,
 field for field, what the readable scalar model in
 :mod:`tests.sparksim.reference` returns for the same (config, env,
@@ -226,6 +226,70 @@ def test_one_batch_holds_every_failure_and_fault_kind():
     assert "does not fit" in batch[4].failure_reason
     assert batch[5].failure_reason.startswith("OOM in stage")
     assert not batch[4].faults_injected and not batch[5].faults_injected
+
+
+#: executor sizing that every test node fits, with 32 slots
+WIDE = {"spark.executor.instances": 8, "spark.executor.cores": 4,
+        "spark.task.cpus": 1, "spark.executor.memory": 4096,
+        "spark.default.parallelism": 160}
+#: speculation that fires on most stages
+EAGER_SPECULATION = {"spark.speculation": True,
+                     "spark.speculation.multiplier": 1.1,
+                     "spark.speculation.quantile": 0.5}
+
+
+def _spy_row_kernel(monkeypatch):
+    """Record the ``lengths`` of every ``_list_schedule_rows`` call."""
+    from repro.sparksim import scheduler
+
+    calls = []
+    kernel = scheduler._list_schedule_rows
+
+    def spy(block, lengths, slots):
+        calls.append(list(lengths))
+        return kernel(block, lengths, slots)
+
+    monkeypatch.setattr(scheduler, "_list_schedule_rows", spy)
+    return calls
+
+
+def test_ingest_shape_batch_identity(monkeypatch):
+    """One speculating config x 40 seeds, the shape of a production
+    ingest batch: every stage is one block on the row kernel, with
+    ragged speculation extras, and each run equals the reference."""
+    calls = _spy_row_kernel(monkeypatch)
+    config = SPACE.sample_configuration(np.random.default_rng(23)).replace(
+        **WIDE, **EAGER_SPECULATION)
+    n = 40
+    _assert_batch_identity(SparkSimulator(), Sort(), 1024.0, [config] * n,
+                           [TYPICAL] * n, list(range(100, 100 + n)))
+    assert any(len(lengths) == n and len(set(lengths)) > 1
+               for lengths in calls), "no ragged full-width block ran"
+
+
+def test_mixed_configs_with_every_fault_kind(monkeypatch):
+    """Three configs x 12 seeds under a plan that fires every fault kind:
+    OOM-killed rows leave the walk, executor loss splits a row off its
+    block onto fewer slots, and every run still equals the reference."""
+    calls = _spy_row_kernel(monkeypatch)
+    rng = np.random.default_rng(31)
+    base = [SPACE.sample_configuration(rng).replace(**WIDE)
+            for _ in range(3)]
+    base[1] = base[1].replace(**EAGER_SPECULATION)
+    configs = [base[i % 3] for i in range(36)]
+    envs = [ENVS[i % len(ENVS)] for i in range(36)]
+    seeds = [7 * i + 3 for i in range(36)]
+    plan = FaultPlan((
+        oom_kill(0.25, span=3),
+        straggler(0.25, slowdown=3.0, span=3),
+        executor_loss(0.3, fraction=0.5, span=3),
+        env_spike(0.25, multiplier=2.0),
+    ))
+    batch = _assert_batch_identity(SparkSimulator(fault_plan=plan), Sort(),
+                                   1024.0, configs, envs, seeds)
+    kinds = {t.split(":")[0] for r in batch for t in r.faults_injected}
+    assert kinds == {"oom_kill", "straggler", "executor_loss", "env_spike"}
+    assert calls, "the row kernel never ran"
 
 
 def test_permuting_candidates_permutes_results():
